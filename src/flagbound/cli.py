@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .castelnuovo import castelnuovo_bound
@@ -22,7 +21,8 @@ from .errors import (
     UndecidedComparisonError,
     ValidationError,
 )
-from .exact_arith import format_rational
+from .exact_arith import format_rational, parse_rational
+from .fields import INT, INTS, OBJECT, read_fields
 from .flag_recurrence import (
     corollary_alternative_bound,
     corollary_bound,
@@ -49,13 +49,6 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad arguments; route through the validation path
     def error(self, message):
         raise ValidationError(message)
-
-
-def _effective_budget(cli_value: int | None) -> int | None:
-    # FLAGBOUND_DIGIT_BUDGET overrides --digit-budget when set
-    if os.environ.get("FLAGBOUND_DIGIT_BUDGET", "").strip():
-        return None
-    return cli_value
 
 
 def _flatten(doc: dict, prefix: str = "") -> list[tuple[str, object]]:
@@ -114,50 +107,35 @@ def _report_table(report_dict: dict) -> list[str]:
     return lines
 
 
-def _cmd_castelnuovo(args) -> int:
-    bound = castelnuovo_bound(args.N, args.deg)
-    doc = {"N": args.N, "deg": args.deg, "bound": bound}
-    _emit(doc, args.format, [f"bound = {bound}"])
-    return 0
-
-
-def _cmd_flag(args) -> int:
-    flag = FlagCondition(args.r, tuple(args.degrees))
-    result = flag_genus_interval(flag, _effective_budget(args.digit_budget))
-    doc = result.to_dict()
-    lines = [
-        f"flag                = {flag}",
-        f"lo                  = {doc['lo']}",
-        f"hi                  = {doc['hi']}",
-        f"hypothesesVerified  = {json.dumps(doc['hypothesesVerified'])}",
-    ]
-    if result.report is not None:
-        lines.extend(_report_table(result.report.to_dict(args.digits)))
-    _emit(doc, args.format, lines)
-    return 0
-
-
-def _read_json_source(path: str):
-    if path == "-":
-        raw = sys.stdin.read()
-    else:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                raw = fh.read()
-        except OSError as exc:
-            raise ValidationError(f"cannot read {path}: {exc}") from exc
+def _load_json(text: str, what: str) -> object:
     try:
-        return json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"invalid JSON in {path}: {exc}") from exc
+        return json.loads(text)
+    except ValueError as exc:  # JSONDecodeError, or an integer past Python's digit limit
+        raise ValidationError(f"{what}: {exc}") from exc
 
 
-def _lemma_doc(inp: LemmaInput) -> tuple[dict, bool]:
+# The five ops that a verb and a batch record share.  Each takes the op's
+# fields and returns the batch result; the verbs add their echoed inputs,
+# table lines and exit codes on top.  Layer functions are called by their
+# module-global names, so a rebinding of those names reaches every caller.
+
+
+def _castelnuovo(N: int, deg: int) -> dict:
+    return {"bound": castelnuovo_bound(N, deg)}
+
+
+def _flag(r: int, degrees: list[int]) -> dict:
+    return flag_genus_interval(FlagCondition(r, tuple(degrees))).to_dict()
+
+
+def _lemma(data: dict) -> dict:
+    inp = LemmaInput.from_dict(data)
     decomposition = remainder_decomposition(inp)
     genus = genus_from_lemma_input(inp)
     bound = quadratic_genus_bound(inp.d, inp.s, inp.pi, decomposition.total)
-    identity_holds = genus == bound
-    doc = {
+    if genus != bound:
+        raise IdentityViolationError(f"genus {genus} != bound {format_rational(bound)}")
+    return {
         "r": inp.r,
         "d": inp.d,
         "s": inp.s,
@@ -167,22 +145,79 @@ def _lemma_doc(inp: LemmaInput) -> tuple[dict, bool]:
         "remainder": decomposition.to_dict(),
         "genus": genus,
         "bound": format_rational(bound),
-        "identityHolds": identity_holds,
+        "identityHolds": True,  # a mismatch raised above
     }
-    return doc, identity_holds
+
+
+def _corollary(r: int, d: int, s: int, pi: int) -> dict:
+    return {
+        "bound": format_rational(corollary_bound(r, d, s, pi)),
+        "alternativeBound": format_rational(corollary_alternative_bound(r, d, s)),
+        "degreeHypotheses": check_corollary_degree(r, d, s).verdict.value,
+    }
+
+
+def _speciality(d: int, s: int, pi: int) -> dict:
+    return {"bound": format_rational(speciality_bound(d, s, pi))}
+
+
+#: op -> (its fields and their kinds, the function of them giving the result)
+_OPS = {
+    "castelnuovo": ({"N": INT, "deg": INT}, _castelnuovo),
+    "flag": ({"r": INT, "degrees": INTS}, _flag),
+    "lemma": ({"input": OBJECT}, _lemma),
+    "corollary": ({"r": INT, "d": INT, "s": INT, "pi": INT}, _corollary),
+    "speciality": ({"d": INT, "s": INT, "pi": INT}, _speciality),
+}
+
+
+def _status(result: dict) -> int:
+    """Exit code of an answered op: 3 for an undecided degree verdict, else 0."""
+    return 3 if result.get("degreeHypotheses") == Verdict.UNDECIDED.value else 0
+
+
+def _echo(args, op: str) -> dict:
+    return {name: getattr(args, name) for name in _OPS[op][0]}
+
+
+def _cmd_castelnuovo(args) -> int:
+    result = _castelnuovo(args.N, args.deg)
+    _emit({**_echo(args, "castelnuovo"), **result}, args.format, [f"bound = {result['bound']}"])
+    return 0
+
+
+def _cmd_flag(args) -> int:
+    result = _flag(args.r, args.degrees)
+    lines = None
+    if args.format == "table":
+        flag = FlagCondition(args.r, tuple(args.degrees))
+        lines = [
+            f"flag                = {flag}",
+            f"lo                  = {result['lo']}",
+            f"hi                  = {result['hi']}",
+            f"hypothesesVerified  = {json.dumps(result['hypothesesVerified'])}",
+        ]
+        if flag.length > 1:
+            # the result holds only the verdict; the table renders every check
+            lines.extend(_report_table(check_flag_separation(flag).to_dict(args.digits)))
+    _emit(result, args.format, lines)
+    return 0
+
+
+def _read_json_source(path: str) -> object:
+    if path == "-":
+        raw = sys.stdin.read()
+    else:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                raw = fh.read()
+        except OSError as exc:
+            raise ValidationError(f"cannot read {path}: {exc}") from exc
+    return _load_json(raw, f"invalid JSON in {path}")
 
 
 def _cmd_lemma(args) -> int:
-    inp = LemmaInput.from_dict(_read_json_source(args.input))
-    doc, identity_holds = _lemma_doc(inp)
-    _emit(doc, args.format)
-    if not identity_holds:
-        print(
-            f"identity violation: genus {doc['genus']} != bound {doc['bound']} "
-            f"for input {inp.to_dict()}",
-            file=sys.stderr,
-        )
-        return 2
+    _emit(_lemma(_read_json_source(args.input)), args.format)
     return 0
 
 
@@ -190,42 +225,26 @@ def _cmd_corollary(args) -> int:
     # The bound is meaningful arithmetic for any valid (r, d, s, pi); the
     # degree hypotheses gate only the dichotomy comparison, so their status
     # is reported instead of refusing to compute.
-    bound = corollary_bound(args.r, args.d, args.s, args.pi)
-    alternative = corollary_alternative_bound(args.r, args.d, args.s)
-    report = check_corollary_degree(args.r, args.d, args.s, _effective_budget(args.digit_budget))
-    doc = {
-        "r": args.r,
-        "d": args.d,
-        "s": args.s,
-        "pi": args.pi,
-        "bound": format_rational(bound),
-        "alternativeBound": format_rational(alternative),
-        "degreeHypotheses": report.verdict.value,
-    }
-    if report.verdict is Verdict.PASS:
+    result = _corollary(args.r, args.d, args.s, args.pi)
+    doc = {**_echo(args, "corollary"), **result}
+    if result["degreeHypotheses"] == Verdict.PASS.value:
+        alternative, bound = (parse_rational(result[k]) for k in ("alternativeBound", "bound"))
         doc["alternativeStrictlyLess"] = alternative < bound
     _emit(doc, args.format)
-    return 3 if report.verdict is Verdict.UNDECIDED else 0
+    return _status(result)
 
 
 def _cmd_speciality(args) -> int:
-    bound = speciality_bound(args.d, args.s, args.pi)
-    doc = {
-        "d": args.d,
-        "s": args.s,
-        "pi": args.pi,
-        "bound": format_rational(bound),
-    }
-    _emit(doc, args.format, [f"bound = {format_rational(bound)}"])
+    result = _speciality(args.d, args.s, args.pi)
+    _emit({**_echo(args, "speciality"), **result}, args.format, [f"bound = {result['bound']}"])
     return 0
 
 
 def _cmd_hypotheses(args) -> int:
-    budget = _effective_budget(args.digit_budget)
     if args.subject == "flag":
-        report = check_flag_separation(FlagCondition(args.r, tuple(args.degrees)), budget)
+        report = check_flag_separation(FlagCondition(args.r, tuple(args.degrees)))
     elif args.subject == "corollary":
-        report = check_corollary_degree(args.r, args.d, args.s, budget)
+        report = check_corollary_degree(args.r, args.d, args.s)
     else:
         report = check_lemma_degree(args.r, args.d, args.s)
     doc = report.to_dict(args.digits)
@@ -270,45 +289,15 @@ def _cmd_verify(args) -> int:
     return 0 if report.ok else 2
 
 
-_BATCH_REQUIRED = {
-    "castelnuovo": ("N", "deg"),
-    "flag": ("r", "degrees"),
-    "lemma": ("input",),
-    "corollary": ("r", "d", "s", "pi"),
-    "speciality": ("d", "s", "pi"),
-}
-
-
-def _batch_eval(record: dict, digits: int, budget: int | None) -> dict:
-    if not isinstance(record, dict):
+def _batch_eval(record: object) -> dict:
+    """The result of one parsed batch record; raises when it is refused."""
+    if type(record) is not dict:
         raise ValidationError(f"batch record must be an object, got {type(record).__name__}")
     op = record.get("op")
-    if op not in _BATCH_REQUIRED:
+    if type(op) is not str or op not in _OPS:
         raise ValidationError(f"unknown batch op {op!r}")
-    missing = [k for k in _BATCH_REQUIRED[op] if k not in record]
-    if missing:
-        raise ValidationError(f"batch op {op!r} missing fields: {', '.join(missing)}")
-    if op == "castelnuovo":
-        return {"bound": castelnuovo_bound(int(record["N"]), int(record["deg"]))}
-    if op == "flag":
-        flag = FlagCondition(int(record["r"]), tuple(int(x) for x in record["degrees"]))
-        return flag_genus_interval(flag, budget).to_dict()
-    if op == "lemma":
-        doc, identity_holds = _lemma_doc(LemmaInput.from_dict(record["input"]))
-        if not identity_holds:
-            raise IdentityViolationError(
-                f"genus {doc['genus']} != bound {doc['bound']}"
-            )
-        return doc
-    if op == "corollary":
-        r, d, s, pi = (int(record[k]) for k in ("r", "d", "s", "pi"))
-        return {
-            "bound": format_rational(corollary_bound(r, d, s, pi)),
-            "alternativeBound": format_rational(corollary_alternative_bound(r, d, s)),
-            "degreeHypotheses": check_corollary_degree(r, d, s, budget).verdict.value,
-        }
-    d, s, pi = (int(record[k]) for k in ("d", "s", "pi"))
-    return {"bound": format_rational(speciality_bound(d, s, pi))}
+    fields, evaluate = _OPS[op]
+    return evaluate(*read_fields(record, fields, f"batch op {op!r}"))
 
 
 def _cmd_batch(args) -> int:
@@ -321,110 +310,94 @@ def _cmd_batch(args) -> int:
         except OSError as exc:
             raise ValidationError(f"cannot read {args.input}: {exc}") from exc
         close = True
-    budget = _effective_budget(args.digit_budget)
-    any_failed = False
+    codes = set()
     try:
         for line in stream:
             line = line.strip()
             if not line:
                 continue
             try:
-                record = json.loads(line)
-                result = _batch_eval(record, args.digits, budget)
-                print(json.dumps({"ok": True, "result": result}, separators=(",", ":")))
-            except FlagboundError as exc:
-                any_failed = True
-                print(
-                    json.dumps(
-                        {"ok": False, "error": str(exc), "input": line},
-                        separators=(",", ":"),
-                    )
+                result = _batch_eval(_load_json(line, "invalid JSON"))
+                text = json.dumps({"ok": True, "result": result}, separators=(",", ":"))
+                codes.add(_status(result))
+            except Exception as exc:  # one record never ends the stream
+                codes.add(2 if isinstance(exc, IdentityViolationError) else 1)
+                error = str(exc)
+                if not isinstance(exc, FlagboundError):
+                    error = f"{type(exc).__name__}: {error}"
+                text = json.dumps(
+                    {"ok": False, "error": error, "input": line}, separators=(",", ":")
                 )
-            except json.JSONDecodeError as exc:
-                any_failed = True
-                print(
-                    json.dumps(
-                        {"ok": False, "error": f"invalid JSON: {exc}", "input": line},
-                        separators=(",", ":"),
-                    )
-                )
+            print(text)
     finally:
         if close:
             stream.close()
-    return 1 if any_failed else 0
+    # the gravest kind seen: identity violation, then undecided, then failure
+    return next((code for code in (2, 3, 1) if code in codes), 0)
 
 
-def _common_options(suppress: bool) -> argparse.ArgumentParser:
-    # suppress=True variants are for nested subparsers, whose defaults would
-    # otherwise clobber values already parsed by the outer command
-    default = (lambda v: argparse.SUPPRESS) if suppress else (lambda v: v)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+def _options(digits: bool, nested: bool = False) -> argparse.ArgumentParser:
+    # nested variants are for the subjects of `hypotheses`, whose defaults
+    # would otherwise clobber values already parsed by the outer command
+    default = (lambda v: argparse.SUPPRESS) if nested else (lambda v: v)
+    options = argparse.ArgumentParser(add_help=False)
+    options.add_argument(
         "--format", choices=("table", "json", "csv"), default=default("table"),
         help="output format (default: table)",
     )
-    common.add_argument(
-        "--digits", type=int, default=default(20),
-        help="significant digits for approximate decimal renderings (default: 20)",
-    )
-    common.add_argument(
-        "--digit-budget", type=int, default=default(None),
-        help="digit cap for exact radical powering before the enclosure "
-        "fallback; FLAGBOUND_DIGIT_BUDGET overrides",
-    )
-    return common
+    if digits:
+        options.add_argument(
+            "--digits", type=int, default=default(20),
+            help="significant digits for approximate decimal renderings (default: 20)",
+        )
+    return options
+
+
+def _add_op(sub, op: str, func, options: argparse.ArgumentParser, help: str) -> None:
+    """A verb whose positional arguments are the op's integer fields."""
+    p = sub.add_parser(op, parents=[options], help=help)
+    for name, kind in _OPS[op][0].items():
+        if kind == INTS:
+            p.add_argument(name, type=int, nargs="+", metavar="S")
+        else:
+            p.add_argument(name, type=int)
+    p.set_defaults(func=func)
 
 
 def _build_parser() -> _Parser:
-    common = _common_options(suppress=False)
-    common_nested = _common_options(suppress=True)
+    plain = _options(digits=False)
+    rendered = _options(digits=True)
+    rendered_nested = _options(digits=True, nested=True)
 
     parser = _Parser(prog="flagbound", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("castelnuovo", parents=[common], help="maximal genus in P^N")
-    p.add_argument("N", type=int)
-    p.add_argument("deg", type=int)
-    p.set_defaults(func=_cmd_castelnuovo)
+    _add_op(sub, "castelnuovo", _cmd_castelnuovo, plain, "maximal genus in P^N")
+    _add_op(sub, "flag", _cmd_flag, rendered, "genus interval under a flag condition")
 
-    p = sub.add_parser("flag", parents=[common], help="genus interval under a flag condition")
-    p.add_argument("r", type=int)
-    p.add_argument("degrees", type=int, nargs="+", metavar="S")
-    p.set_defaults(func=_cmd_flag)
-
-    p = sub.add_parser("lemma", parents=[common], help="remainder decomposition and genus")
+    p = sub.add_parser("lemma", parents=[plain], help="remainder decomposition and genus")
     p.add_argument("--input", required=True, help="JSON file with the lemma input ('-' for stdin)")
     p.set_defaults(func=_cmd_lemma)
 
-    p = sub.add_parser("corollary", parents=[common], help="closed quadratic bound and dichotomy")
-    p.add_argument("r", type=int)
-    p.add_argument("d", type=int)
-    p.add_argument("s", type=int)
-    p.add_argument("pi", type=int)
-    p.set_defaults(func=_cmd_corollary)
+    _add_op(sub, "corollary", _cmd_corollary, plain, "closed quadratic bound and dichotomy")
+    _add_op(sub, "speciality", _cmd_speciality, plain, "speciality index bound")
 
-    p = sub.add_parser("speciality", parents=[common], help="speciality index bound")
-    p.add_argument("d", type=int)
-    p.add_argument("s", type=int)
-    p.add_argument("pi", type=int)
-    p.set_defaults(func=_cmd_speciality)
-
-    p = sub.add_parser("hypotheses", parents=[common], help="evaluate hypothesis inequalities")
+    p = sub.add_parser("hypotheses", parents=[rendered], help="evaluate hypothesis inequalities")
     hyp = p.add_subparsers(dest="subject", required=True)
-    ph = hyp.add_parser("flag", parents=[common_nested])
+    ph = hyp.add_parser("flag", parents=[rendered_nested])
     ph.add_argument("r", type=int)
     ph.add_argument("degrees", type=int, nargs="+", metavar="S")
-    ph = hyp.add_parser("corollary", parents=[common_nested])
+    ph = hyp.add_parser("corollary", parents=[rendered_nested])
     ph.add_argument("r", type=int)
     ph.add_argument("d", type=int)
     ph.add_argument("s", type=int)
-    ph = hyp.add_parser("lemma", parents=[common_nested])
+    ph = hyp.add_parser("lemma", parents=[rendered_nested])
     ph.add_argument("r", type=int)
     ph.add_argument("d", type=int)
     ph.add_argument("s", type=int)
     p.set_defaults(func=_cmd_hypotheses)
 
-    p = sub.add_parser("verify", parents=[common], help="run the identity battery")
+    p = sub.add_parser("verify", parents=[plain], help="run the identity battery")
     p.add_argument("--grid", default="10,200", help="rMax,sMax for identity scans (default 10,200)")
     p.add_argument(
         "--castelnuovo-grid", default="9,300", help="nMax,degMax for the bound scan (default 9,300)"
@@ -436,7 +409,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=20260814, help="RNG seed")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("batch", parents=[common], help="evaluate newline-delimited JSON records")
+    p = sub.add_parser("batch", help="evaluate newline-delimited JSON records")
     p.add_argument("--input", default="-", help="NDJSON file (default stdin)")
     p.set_defaults(func=_cmd_batch)
 
@@ -454,9 +427,6 @@ def main(argv: list[str] | None = None) -> int:
     except IdentityViolationError as exc:
         print(f"identity violation: {exc}", file=sys.stderr)
         return 2
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except FlagboundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

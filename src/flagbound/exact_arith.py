@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import decimal
 import math
-import os
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -28,8 +27,8 @@ from fractions import Fraction
 from .errors import ValidationError
 
 #: Exact comparison is attempted as long as the powered integers stay under
-#: this many decimal digits.  Override per call or via FLAGBOUND_DIGIT_BUDGET.
-DEFAULT_DIGIT_BUDGET = 10**6
+#: this many decimal digits.
+DIGIT_BUDGET = 10**6
 
 #: Working precision (decimal digits) of the enclosure fallback.
 FALLBACK_ENCLOSURE_DIGITS = 200
@@ -40,17 +39,8 @@ _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/([1-9]\d*))?$")
 
 
 def digit_budget() -> int:
-    """Active digit budget: FLAGBOUND_DIGIT_BUDGET env var or the default."""
-    raw = os.environ.get("FLAGBOUND_DIGIT_BUDGET", "")
-    if not raw:
-        return DEFAULT_DIGIT_BUDGET
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValidationError(f"FLAGBOUND_DIGIT_BUDGET is not an integer: {raw!r}") from exc
-    if value < 1:
-        raise ValidationError(f"FLAGBOUND_DIGIT_BUDGET must be positive, got {value}")
-    return value
+    """The digit budget of exact radical powering, DIGIT_BUDGET."""
+    return DIGIT_BUDGET
 
 
 def binomial(n: int, k: int) -> int:
@@ -309,22 +299,16 @@ def compare_radical_enclosure(
     return Comparison.UNDECIDED
 
 
-def compare_radical(
-    lhs: int,
-    rhs: RadicalProduct,
-    budget: int | None = None,
-    fallback_digits: int = FALLBACK_ENCLOSURE_DIGITS,
-) -> Comparison:
+def compare_radical(lhs: int, rhs: RadicalProduct) -> Comparison:
     """Exact three-way comparison of a positive integer with a radical product.
 
-    The exact powering route runs whenever the powered integers fit the digit
-    budget; only past the budget does the enclosure fallback run, and only
-    the fallback can return UNDECIDED.
+    The exact powering route runs whenever the powered integers fit
+    DIGIT_BUDGET digits; only past the budget does the enclosure fallback
+    run, at FALLBACK_ENCLOSURE_DIGITS, and only the fallback can return
+    UNDECIDED.
     """
     if not isinstance(lhs, int) or lhs < 1:
         raise ValidationError(f"lhs must be a positive integer, got {lhs!r}")
-    if budget is None:
-        budget = digit_budget()
-    if _exact_digit_estimate(lhs, rhs) <= budget:
+    if _exact_digit_estimate(lhs, rhs) <= DIGIT_BUDGET:
         return compare_radical_exact(lhs, rhs)
-    return compare_radical_enclosure(lhs, rhs, fallback_digits)
+    return compare_radical_enclosure(lhs, rhs, FALLBACK_ENCLOSURE_DIGITS)

@@ -56,21 +56,25 @@ class FlagGenusResult:
 
 
 def _interval(flag: FlagCondition) -> GenusInterval:
-    if flag.length == 1:
-        return GenusInterval.point(castelnuovo_bound(flag.r, flag.degrees[0]))
-    inner = _interval(flag.peel())
-    s1, s2 = flag.degrees[0], flag.degrees[1]
-    scale = Fraction(s1, s2)
-    offset = Fraction(s1 * s1, 2 * s2) + Fraction(s1, 2 * s2) * (-2 - s2)
-    return inner.affine_image(scale, offset).expand(Fraction(s2**3, flag.r - 2))
+    """The recursion folded outward from the innermost level, a Castelnuovo
+    point; level i (0-based) is the flag (r-i; s_{i+1}, ..., s_l)."""
+    r, degrees = flag.r, flag.degrees
+    l = len(degrees)
+    interval = GenusInterval.point(castelnuovo_bound(r - l + 1, degrees[-1]))
+    for i in range(l - 2, -1, -1):
+        s1, s2 = degrees[i], degrees[i + 1]
+        scale = Fraction(s1, s2)
+        offset = Fraction(s1 * s1, 2 * s2) + Fraction(s1, 2 * s2) * (-2 - s2)
+        interval = interval.affine_image(scale, offset).expand(Fraction(s2**3, r - i - 2))
+    return interval
 
 
-def flag_genus_interval(flag: FlagCondition, budget: int | None = None) -> FlagGenusResult:
+def flag_genus_interval(flag: FlagCondition) -> FlagGenusResult:
     """Evaluate the recursion and attach the separation hypothesis status."""
     interval = _interval(flag)
     if flag.length == 1:
         return FlagGenusResult(flag, interval, hypotheses_verified=True, report=None)
-    report = check_flag_separation(flag, budget)
+    report = check_flag_separation(flag)
     return FlagGenusResult(
         flag, interval, hypotheses_verified=report.passed, report=report
     )
@@ -140,9 +144,7 @@ class DichotomyReport:
         }
 
 
-def corollary_dichotomy(
-    r: int, d: int, s: int, pi: int, budget: int | None = None
-) -> DichotomyReport:
+def corollary_dichotomy(r: int, d: int, s: int, pi: int) -> DichotomyReport:
     """Compare the two corollary bounds under the degree hypotheses.
 
     Raises HypothesisFailureError when the degree conditions fail (the
@@ -150,7 +152,7 @@ def corollary_dichotomy(
     UndecidedComparisonError when the radical condition cannot be certified
     within the digit budget.
     """
-    degree_report = check_corollary_degree(r, d, s, budget)
+    degree_report = check_corollary_degree(r, d, s)
     if degree_report.verdict is Verdict.FAIL:
         failed = [c.label for c in degree_report.checks if c.verdict is Verdict.FAIL]
         raise HypothesisFailureError(

@@ -20,6 +20,10 @@ from dataclasses import dataclass, field
 
 from .castelnuovo import min_point_hilbert
 from .errors import InconsistencyError, ValidationError
+from .fields import INT, INTS, read_fields
+
+
+_PROFILE_FIELDS = {"stable": INT, "values": INTS}
 
 
 @dataclass(frozen=True)
@@ -67,13 +71,9 @@ class HilbertProfile:
         return {"stable": self.stable, "values": list(self.values)}
 
     @classmethod
-    def from_dict(cls, data: dict) -> "HilbertProfile":
-        try:
-            stable = int(data["stable"])
-            values = tuple(int(v) for v in data["values"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"malformed profile object: {data!r}") from exc
-        return cls(stable, values)
+    def from_dict(cls, data: object) -> "HilbertProfile":
+        stable, values = read_fields(data, _PROFILE_FIELDS, "profile object")
+        return cls(stable, tuple(values))
 
 
 def extremal_point_profile(N: int, deg: int) -> HilbertProfile:
@@ -127,17 +127,6 @@ class DeltaSequence:
             if self.values[i - 1] > 0:
                 return i
         return 0
-
-    def to_dict(self) -> dict:
-        return {"deltas": list(self.values)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DeltaSequence":
-        try:
-            values = tuple(int(v) for v in data["deltas"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"malformed delta object: {data!r}") from exc
-        return cls(values)
 
 
 def accumulate_surface_section(

@@ -116,7 +116,7 @@ class HypothesisReport:
         }
 
 
-def check_flag_separation(flag: FlagCondition, budget: int | None = None) -> HypothesisReport:
+def check_flag_separation(flag: FlagCondition) -> HypothesisReport:
     """The four separation inequalities between each s_i and s_{i+1}.
 
     The first is non-strict (>=), the other three strict, matching how the
@@ -168,7 +168,7 @@ def check_flag_separation(flag: FlagCondition, budget: int | None = None) -> Hyp
                 lhs=s_i,
                 relation=">",
                 threshold=product,
-                verdict=_verdict(compare_radical(s_i, product, budget), ">"),
+                verdict=_verdict(compare_radical(s_i, product), ">"),
             )
         )
         quartic = Fraction(2 * s_next**4, denom)
@@ -184,7 +184,7 @@ def check_flag_separation(flag: FlagCondition, budget: int | None = None) -> Hyp
     return HypothesisReport(subject="flagSeparation", checks=tuple(checks))
 
 
-def check_corollary_degree(r: int, d: int, s: int, budget: int | None = None) -> HypothesisReport:
+def check_corollary_degree(r: int, d: int, s: int) -> HypothesisReport:
     """The two d-large conditions: a radical product and 6(s+1)^3/(r-2)."""
     if r < 3:
         raise ValidationError(f"ambient dimension r must be >= 3, got {r}")
@@ -203,7 +203,7 @@ def check_corollary_degree(r: int, d: int, s: int, budget: int | None = None) ->
             lhs=d,
             relation=">",
             threshold=product,
-            verdict=_verdict(compare_radical(d, product, budget), ">"),
+            verdict=_verdict(compare_radical(d, product), ">"),
         ),
         HypothesisCheck(
             label="cubic",

@@ -35,6 +35,7 @@ from . import _backend
 from .errors import InconsistencyError, ValidationError
 from .euclid_forms import DivisionForm, split_m_epsilon, split_w_v
 from .exact_arith import RationalInterval, format_rational
+from .fields import BOOL, INT, INTS, OBJECT, read_fields
 from .hilbert_profiles import (
     DeltaSequence,
     HilbertProfile,
@@ -60,6 +61,18 @@ def lemma_degree_threshold(r: int, s: int) -> tuple[int, str]:
 def lemma_degree_satisfied(r: int, d: int, s: int) -> bool:
     threshold, relation = lemma_degree_threshold(r, s)
     return d >= threshold if relation == ">=" else d > threshold
+
+
+_LEMMA_FIELDS = {
+    "r": INT,
+    "d": INT,
+    "s": INT,
+    "pointProfile": OBJECT,
+    "deltas": INTS,
+    "tail": INTS,
+    "allowSmallDegree": BOOL,
+}
+_LEMMA_DEFAULTS = {"deltas": [], "tail": [], "allowSmallDegree": False}
 
 
 @dataclass(frozen=True)
@@ -193,26 +206,18 @@ class LemmaInput:
         return out
 
     @classmethod
-    def from_dict(cls, data: dict) -> "LemmaInput":
-        if not isinstance(data, dict):
-            raise ValidationError(f"lemma input must be an object, got {type(data).__name__}")
-        try:
-            r = int(data["r"])
-            d = int(data["d"])
-            s = int(data["s"])
-            profile = HilbertProfile.from_dict(data["pointProfile"])
-            deltas = DeltaSequence(tuple(int(v) for v in data.get("deltas", ())))
-            tail = tuple(int(v) for v in data.get("tail", ()))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"malformed lemma input: {exc}") from exc
+    def from_dict(cls, data: object) -> "LemmaInput":
+        r, d, s, profile, deltas, tail, allow_small_degree = read_fields(
+            data, _LEMMA_FIELDS, "lemma input", _LEMMA_DEFAULTS
+        )
         return cls(
             r=r,
             d=d,
             s=s,
-            point_profile=profile,
-            deltas=deltas,
-            tail=tail,
-            allow_small_degree=bool(data.get("allowSmallDegree", False)),
+            point_profile=HilbertProfile.from_dict(profile),
+            deltas=DeltaSequence(tuple(deltas)),
+            tail=tuple(tail),
+            allow_small_degree=allow_small_degree,
         )
 
 

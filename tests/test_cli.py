@@ -4,6 +4,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flagbound.cli import main
 from flagbound.exact_arith import Comparison, parse_rational
@@ -284,17 +286,177 @@ class TestBatch:
         assert "missing fields" in doc["error"]
 
 
-class TestDigitBudgetPlumbing:
-    def test_env_overrides_cli(self, capsys, monkeypatch):
-        calls = {}
 
-        def fake_compare(lhs, rhs, budget=None, fallback_digits=None):
-            calls["budget"] = budget
-            return Comparison.GREATER
+SPECIALITY_LINE = json.dumps({"op": "speciality", "d": 50, "s": 7, "pi": 3})
+SPECIALITY_ANSWER = {"ok": True, "result": {"bound": "47/7"}}
 
-        monkeypatch.setattr("flagbound.hypothesis_checker.compare_radical", fake_compare)
-        run(capsys, "hypotheses", "corollary", "4", "471", "3", "--digit-budget", "5")
-        assert calls["budget"] == 5
-        monkeypatch.setenv("FLAGBOUND_DIGIT_BUDGET", "123")
-        run(capsys, "hypotheses", "corollary", "4", "471", "3", "--digit-budget", "5")
-        assert calls["budget"] is None  # env wins; resolver reads it later
+
+def run_batch(capsys, monkeypatch, text):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code, out, _ = run(capsys, "batch")
+    return code, [json.loads(line) for line in out.splitlines()]
+
+
+class TestBatchStrictRecords:
+    """Records that once ended the stream or were silently coerced."""
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"op":"castelnuovo","N":[1],"deg":5}',
+            '{"op":"flag","r":5,"degrees":7}',
+            '{"op":"castelnuovo","N":5,"deg":1e400}',
+            '{"op":"castelnuovo","N":5,"deg":' + "1" * 5001 + "}",
+            '{"op":"castelnuovo","N":5.9,"deg":1000}',
+            '{"op":"castelnuovo","N":5,"deg":"1000"}',
+            '{"op":"speciality","d":50,"s":7,"pi":true}',
+            json.dumps(
+                {"op": "lemma", "input": {**WORKED_LEMMA, "d": 30, "allowSmallDegree": "no"}}
+            ),
+            '{"op":[1]}',
+        ],
+        ids=[
+            "list-for-int",
+            "int-for-list",
+            "float-overflow",
+            "5001-digit-int",
+            "float",
+            "numeric-string",
+            "bool-for-int",
+            "string-for-bool",
+            "list-op",
+        ],
+    )
+    def test_refused_and_stream_goes_on(self, capsys, monkeypatch, line):
+        code, docs = run_batch(capsys, monkeypatch, line + "\n" + SPECIALITY_LINE + "\n")
+        assert code == 1
+        assert len(docs) == 2
+        assert docs[0]["ok"] is False and docs[0]["input"] == line
+        assert docs[1] == SPECIALITY_ANSWER
+
+    def test_field_error_names_field_and_type(self, capsys, monkeypatch):
+        _, docs = run_batch(capsys, monkeypatch, '{"op":"castelnuovo","N":5.9,"deg":1000}')
+        assert docs[0]["error"] == (
+            "malformed batch op 'castelnuovo': field 'N' must be an integer, got float"
+        )
+
+    def test_allow_small_degree_accepts_a_json_bool(self, capsys, monkeypatch):
+        record = {"op": "lemma", "input": {**WORKED_LEMMA, "d": 30, "allowSmallDegree": True}}
+        code, docs = run_batch(capsys, monkeypatch, json.dumps(record))
+        assert code == 0
+        assert docs[0]["ok"] is True
+
+    def test_unexpected_error_is_named(self, capsys, monkeypatch):
+        def boom(N, deg):
+            raise OverflowError("int too large to convert to float")
+
+        monkeypatch.setattr("flagbound.cli.castelnuovo_bound", boom)
+        line = json.dumps({"op": "castelnuovo", "N": 5, "deg": 1000})
+        code, docs = run_batch(capsys, monkeypatch, line + "\n" + SPECIALITY_LINE)
+        assert code == 1
+        assert docs[0]["error"] == "OverflowError: int too large to convert to float"
+        assert docs[1] == SPECIALITY_ANSWER
+
+
+class TestBatchExitCodes:
+    FAILED = json.dumps({"op": "nope"})
+    UNDECIDED = json.dumps({"op": "corollary", "r": 4, "d": 10**6, "s": 3, "pi": 1})
+    VIOLATED = json.dumps({"op": "lemma", "input": WORKED_LEMMA})
+
+    @pytest.fixture
+    def faults(self, monkeypatch):
+        monkeypatch.setattr(
+            "flagbound.hypothesis_checker.compare_radical",
+            lambda *a, **k: Comparison.UNDECIDED,
+        )
+        monkeypatch.setattr("flagbound.cli.genus_from_lemma_input", lambda inp: -1)
+
+    @pytest.mark.parametrize(
+        "lines,expected",
+        [
+            ((SPECIALITY_LINE,), 0),
+            ((FAILED, SPECIALITY_LINE), 1),
+            ((FAILED, UNDECIDED), 3),
+            ((UNDECIDED, VIOLATED, FAILED), 2),
+            ((VIOLATED,), 2),
+        ],
+    )
+    def test_gravest_kind_wins(self, capsys, monkeypatch, faults, lines, expected):
+        code, docs = run_batch(capsys, monkeypatch, "\n".join(lines))
+        assert code == expected
+        assert len(docs) == len(lines)
+
+    def test_undecided_record_is_answered(self, capsys, monkeypatch, faults):
+        _, docs = run_batch(capsys, monkeypatch, self.UNDECIDED)
+        assert docs[0]["ok"] is True
+        assert docs[0]["result"]["degreeHypotheses"] == "undecided"
+
+    def test_identity_violation_is_reported(self, capsys, monkeypatch, faults):
+        _, docs = run_batch(capsys, monkeypatch, self.VIOLATED)
+        assert docs[0]["ok"] is False
+        assert docs[0]["error"] == "genus -1 != bound 162"
+
+
+# Integers stay small: a record's cost grows without bound in r (a corollary
+# record builds r-2 radical factors of (r-1)!), so large ones would stall the
+# test, not break the stream.
+_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-2, max_value=12),
+    st.floats(),
+    st.text(max_size=4),
+    st.lists(st.integers(min_value=-2, max_value=12), max_size=4),
+    st.lists(st.one_of(st.booleans(), st.floats(), st.text(max_size=2)), max_size=2),
+)
+_LEMMA_INPUTS = st.fixed_dictionaries(
+    {},
+    optional={
+        **dict.fromkeys(("r", "d", "s", "deltas", "tail", "allowSmallDegree"), _VALUES),
+        "pointProfile": st.fixed_dictionaries({}, optional={"stable": _VALUES, "values": _VALUES}),
+    },
+)
+_RECORDS = st.fixed_dictionaries(
+    {"op": st.sampled_from(["castelnuovo", "flag", "lemma", "corollary", "speciality", "nope"])},
+    optional={
+        **dict.fromkeys(("N", "deg", "r", "degrees", "d", "s", "pi"), _VALUES),
+        "input": st.one_of(_LEMMA_INPUTS, _VALUES),
+    },
+)
+_LINES = st.one_of(_RECORDS.map(json.dumps), st.text(max_size=30))
+
+
+@given(st.lists(_LINES, min_size=1, max_size=5))
+@settings(deadline=None)
+def test_batch_answers_every_line(lines):
+    text = "\n".join(lines)
+    saved = sys.stdin, sys.stdout
+    sys.stdin, sys.stdout = io.StringIO(text), io.StringIO()
+    try:
+        code = main(["batch"])
+        out = sys.stdout.getvalue()
+    finally:
+        sys.stdin, sys.stdout = saved
+    expected = [line.strip() for line in text.split("\n") if line.strip()]
+    docs = [json.loads(line) for line in out.splitlines()]
+    assert len(docs) == len(expected)
+    for doc, line in zip(docs, expected):
+        assert doc["ok"] is True or doc["input"] == line
+    assert code in (0, 1, 3)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("castelnuovo", "--digit-budget", "5", "5", "1000"),
+        ("hypotheses", "corollary", "4", "471", "3", "--digit-budget", "5"),
+        ("castelnuovo", "--digits", "5", "5", "1000"),
+        ("speciality", "--digits", "5", "500", "5", "5"),
+        ("batch", "--format", "json"),
+        ("batch", "--digits", "5"),
+    ],
+)
+def test_ignored_options_are_gone(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert "unrecognized arguments" in err

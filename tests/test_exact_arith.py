@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flagbound import exact_arith
 from flagbound.errors import ValidationError
 from flagbound.exact_arith import (
     Comparison,
@@ -207,32 +208,28 @@ class TestCompareRadical:
         with pytest.raises(ValidationError):
             compare_radical(0, self.BOUNDARY)
 
-    def test_budget_exhaustion_falls_back(self):
-        # With a one-digit budget the exact route is unaffordable; the
-        # 200-digit enclosure still decides this comfortably.
-        assert compare_radical(471, self.BOUNDARY, budget=1) is Comparison.GREATER
-        assert compare_radical(470, self.BOUNDARY, budget=1) is Comparison.LESS
+    def test_budget_exhaustion_falls_back(self, monkeypatch):
+        # With a one-digit budget the exact route is unaffordable (and
+        # stubbed out, so taking it fails the test); the 200-digit
+        # enclosure still decides this comfortably.
+        monkeypatch.setattr(exact_arith, "DIGIT_BUDGET", 1)
+        monkeypatch.setattr(exact_arith, "compare_radical_exact", None)
+        assert compare_radical(471, self.BOUNDARY) is Comparison.GREATER
+        assert compare_radical(470, self.BOUNDARY) is Comparison.LESS
 
-    def test_undecided_only_under_coarse_enclosure(self):
+    def test_undecided_only_under_coarse_enclosure(self, monkeypatch):
         # sqrt(999983) = 999.9915; a 1-digit enclosure is too coarse to
         # separate it from 1000, and only then may UNDECIDED appear.
         rp = RadicalProduct(Fraction(1), ((999983, 2),))
         assert compare_radical_enclosure(1000, rp, digits=1) is Comparison.UNDECIDED
         assert compare_radical_enclosure(1000, rp, digits=10) is Comparison.GREATER
-        assert compare_radical(1000, rp, budget=1, fallback_digits=1) is Comparison.UNDECIDED
         assert compare_radical(1000, rp) is Comparison.GREATER
+        monkeypatch.setattr(exact_arith, "DIGIT_BUDGET", 1)
+        monkeypatch.setattr(exact_arith, "FALLBACK_ENCLOSURE_DIGITS", 1)
+        assert compare_radical(1000, rp) is Comparison.UNDECIDED
 
-    def test_digit_budget_env(self, monkeypatch):
-        monkeypatch.delenv("FLAGBOUND_DIGIT_BUDGET", raising=False)
-        assert digit_budget() == 10**6
-        monkeypatch.setenv("FLAGBOUND_DIGIT_BUDGET", "123")
-        assert digit_budget() == 123
-        monkeypatch.setenv("FLAGBOUND_DIGIT_BUDGET", "zero")
-        with pytest.raises(ValidationError):
-            digit_budget()
-        monkeypatch.setenv("FLAGBOUND_DIGIT_BUDGET", "-5")
-        with pytest.raises(ValidationError):
-            digit_budget()
+    def test_digit_budget_is_the_module_constant(self):
+        assert digit_budget() == exact_arith.DIGIT_BUDGET == 10**6
 
     @given(
         st.integers(min_value=1, max_value=10**6),

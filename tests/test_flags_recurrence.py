@@ -9,6 +9,7 @@ from flagbound.castelnuovo import castelnuovo_bound
 from flagbound.errors import HypothesisFailureError, ValidationError
 from flagbound.flag_recurrence import (
     DichotomyReport,
+    _interval,
     Regime,
     corollary_alternative_bound,
     corollary_bound,
@@ -101,6 +102,16 @@ class TestFlagGenusInterval:
             s2**3, flag.r - 2
         )
         assert result.interval.width == expected
+
+    def test_long_flag_width_law(self):
+        # One level per degree: a recursive evaluation overflowed the
+        # interpreter's recursion limit on a flag this long.
+        r = 1500
+        flag = FlagCondition(r, tuple(range(r, 1, -1)))
+        assert flag.length == 1499
+        outer, inner = _interval(flag), _interval(flag.peel())
+        s1, s2 = flag.degrees[0], flag.degrees[1]
+        assert outer.width == Fraction(s1, s2) * inner.width + 2 * Fraction(s2**3, r - 2)
 
     def test_interval_contains_affine_image_of_inner(self):
         flag = FlagCondition(6, (5000, 300, 20))

@@ -93,11 +93,6 @@ class TestDeltaSequence:
         with pytest.raises(ValidationError):
             DeltaSequence((1,)).value(0)
 
-    def test_dict_round_trip(self):
-        d = DeltaSequence((0, 1))
-        assert d.to_dict() == {"deltas": [0, 1]}
-        assert DeltaSequence.from_dict(d.to_dict()) == d
-
 
 class TestAccumulateSurfaceSection:
     def test_frozen(self):

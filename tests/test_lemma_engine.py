@@ -141,6 +141,22 @@ class TestLemmaInput:
         with pytest.raises(ValidationError):
             LemmaInput.from_dict([1, 2, 3])
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"d": 50.0},
+            {"d": True},
+            {"s": "7"},
+            {"pointProfile": {"stable": 7, "values": [1, 4.0, 7]}},
+            {"deltas": "01"},
+            {"tail": [False]},
+            {"allowSmallDegree": 1},
+        ],
+    )
+    def test_from_dict_takes_json_integers_only(self, change):
+        with pytest.raises(ValidationError):
+            LemmaInput.from_dict({**WORKED_DELTA.to_dict(), **change})
+
     def test_allow_small_degree_round_trips(self):
         small = LemmaInput(
             r=5,
