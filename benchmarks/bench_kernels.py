@@ -1,11 +1,14 @@
 """Compare the compiled summation kernels against the pure-Python twins.
 
 Runs each kernel on a ladder of problem sizes through both implementations
-and prints per-call timings with the speedup.  The compiled module must be
-importable (built via `pip install -e .`); otherwise only the pure numbers
-are shown.
+and prints per-call timings with the speedup, one row per kernel and size.
+Run it from the root of a checkout with the sources on the path:
 
-    python benchmarks/bench_kernels.py --repeat 2000
+    PYTHONPATH=src python benchmarks/bench_kernels.py --repeat 2000
+
+The compiled column appears only when the extension `flagbound._kernels`
+has been built (for example by `pip install -e .`); otherwise only the pure
+numbers are shown.  End-to-end numbers come from `flagbench/run.py`.
 """
 
 from __future__ import annotations

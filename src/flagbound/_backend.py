@@ -12,6 +12,7 @@ from __future__ import annotations
 import os
 
 from . import _kernels_py as pure
+from .errors import ValidationError
 
 _FORCED_PURE = os.environ.get("FLAGBOUND_PURE", "").strip() not in ("", "0")
 
@@ -32,8 +33,15 @@ def backend_name() -> str:
     return "compiled" if compiled is not None else "pure"
 
 
+def _check_modulus(modulus: int) -> None:
+    # Below 1 the terms never saturate: the compiled loop would not end.
+    if modulus < 1:
+        raise ValidationError(f"modulus must be >= 1, got {modulus}")
+
+
 def deficiency_sum(stable: int, modulus: int) -> int:
     """sum_{i>=1} (stable - min(stable, i*modulus + 1))."""
+    _check_modulus(modulus)
     if compiled is not None and stable <= _STABLE_CAP and modulus <= _INT62:
         return compiled.deficiency_sum(stable, modulus)
     return pure.deficiency_sum(stable, modulus)
@@ -41,6 +49,7 @@ def deficiency_sum(stable: int, modulus: int) -> int:
 
 def weighted_deficiency_sum(stable: int, modulus: int) -> int:
     """sum_{i>=1} (i - 1) * (stable - min(stable, i*modulus + 1))."""
+    _check_modulus(modulus)
     if compiled is not None and stable <= _WEIGHTED_STABLE_CAP and modulus <= _INT62:
         return compiled.weighted_deficiency_sum(stable, modulus)
     return pure.weighted_deficiency_sum(stable, modulus)

@@ -3,33 +3,28 @@
 Same signatures and semantics as the compiled twins in _kernels.pyx, with
 arbitrary-precision integers.  _backend routes here when the compiled module
 is missing, when inputs could overflow int64, or when FLAGBOUND_PURE is set.
+
+The two deficiency sums are still direct summations over their terms (the
+oracle battery checks the closed forms against them), but the loop over the
+terms runs inside `range`, `accumulate` and `sum` rather than as Python
+bytecode.  Both expect modulus >= 1; _backend checks it.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 
 def deficiency_sum(stable: int, modulus: int) -> int:
-    # sum_{i>=1} (stable - min(stable, i*modulus + 1))
-    acc = 0
-    i = 1
-    while True:
-        h = i * modulus + 1
-        if h >= stable:
-            return acc
-        acc += stable - h
-        i += 1
+    # sum_{i>=1} (stable - min(stable, i*modulus + 1)): the positive terms
+    # stable - i*modulus - 1 for i = 1, 2, ...
+    return sum(range(stable - modulus - 1, 0, -modulus))
 
 
 def weighted_deficiency_sum(stable: int, modulus: int) -> int:
-    # sum_{i>=1} (i - 1) * (stable - min(stable, i*modulus + 1))
-    acc = 0
-    i = 1
-    while True:
-        h = i * modulus + 1
-        if h >= stable:
-            return acc
-        acc += (i - 1) * (stable - h)
-        i += 1
+    # sum_{i>=1} (i - 1) * (stable - min(stable, i*modulus + 1)): the sum of
+    # the suffix sums of the terms for i >= 2, so term i is counted i - 1 times
+    return sum(accumulate(reversed(range(stable - 2 * modulus - 1, 0, -modulus))))
 
 
 def truncated_section_sum(

@@ -131,8 +131,12 @@ class RationalInterval:
     hi: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "lo", Fraction(self.lo))
-        object.__setattr__(self, "hi", Fraction(self.hi))
+        # Coerce only what is not already exactly a Fraction (ints, strings,
+        # Fraction subclasses); most callers pass Fractions.
+        if type(self.lo) is not Fraction:
+            object.__setattr__(self, "lo", Fraction(self.lo))
+        if type(self.hi) is not Fraction:
+            object.__setattr__(self, "hi", Fraction(self.hi))
         if self.lo > self.hi:
             raise ValidationError(f"empty interval: lo={self.lo} > hi={self.hi}")
 

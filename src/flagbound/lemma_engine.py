@@ -303,9 +303,8 @@ class RemainderEnvelope:
 
     @property
     def within_envelope(self) -> bool:
-        return RationalInterval(-self.envelope_radius, self.envelope_radius).contains_interval(
-            self.aggregate
-        )
+        radius = self.envelope_radius
+        return -radius <= self.aggregate.lo and self.aggregate.hi <= radius
 
     @property
     def tightness_ratio(self) -> Fraction:

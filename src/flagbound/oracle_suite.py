@@ -190,8 +190,9 @@ def oracle_envelope_scan(r_max: int, s_max: int) -> EnvelopeScanReport:
             cases += 1
             if not env.within_envelope:
                 violations.append((r, s))
-            if env.tightness_ratio > tightest:
-                tightest = env.tightness_ratio
+            ratio = env.tightness_ratio
+            if ratio > tightest:
+                tightest = ratio
                 witness = (r, s)
     if cases == 0:
         raise ValidationError(f"empty scan grid: r_max={r_max}, s_max={s_max}")

@@ -1,9 +1,10 @@
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flagbound import _backend
@@ -12,6 +13,28 @@ from flagbound._kernels_py import (
     truncated_section_sum,
     weighted_deficiency_sum,
 )
+from flagbound.errors import ValidationError
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def _deficiency_by_loop(stable, modulus):
+    # reference: one Python step per term i = 1, 2, ... until i*modulus + 1 >= stable
+    acc = 0
+    i = 1
+    while i * modulus + 1 < stable:
+        acc += stable - (i * modulus + 1)
+        i += 1
+    return acc
+
+
+def _weighted_by_loop(stable, modulus):
+    acc = 0
+    i = 1
+    while i * modulus + 1 < stable:
+        acc += (i - 1) * (stable - (i * modulus + 1))
+        i += 1
+    return acc
 
 
 def test_pure_kernels_frozen():
@@ -29,24 +52,63 @@ def test_truncated_sum_extends_profile_and_deltas():
     assert acc == 168 - 6  # six steps saw the raised count
 
 
+# edges: stable <= 0, stable <= modulus + 1 (no term), one and two terms
 @given(
-    st.integers(min_value=1, max_value=3000),
+    st.integers(min_value=-50, max_value=3000),
     st.integers(min_value=1, max_value=40),
 )
+@example(-7, 3)
+@example(0, 1)
+@example(1, 1)
+@example(4, 3)
+@example(5, 3)
+@example(8, 3)
 @settings(max_examples=150)
 def test_deficiency_dispatch_agrees(stable, modulus):
-    assert _backend.deficiency_sum(stable, modulus) == deficiency_sum(stable, modulus)
+    expected = _deficiency_by_loop(stable, modulus)
+    assert deficiency_sum(stable, modulus) == expected
+    assert _backend.deficiency_sum(stable, modulus) == expected
 
 
 @given(
-    st.integers(min_value=1, max_value=1500),
+    st.integers(min_value=-50, max_value=1500),
     st.integers(min_value=1, max_value=40),
 )
+@example(-7, 3)
+@example(0, 1)
+@example(1, 1)
+@example(4, 3)
+@example(8, 3)
+@example(11, 3)
 @settings(max_examples=150)
 def test_weighted_dispatch_agrees(stable, modulus):
-    assert _backend.weighted_deficiency_sum(stable, modulus) == weighted_deficiency_sum(
-        stable, modulus
+    expected = _weighted_by_loop(stable, modulus)
+    assert weighted_deficiency_sum(stable, modulus) == expected
+    assert _backend.weighted_deficiency_sum(stable, modulus) == expected
+
+
+@given(st.integers(min_value=2**65, max_value=2**71))
+@example(2**70 - 1)
+@example(2**69)
+@settings(max_examples=50)
+def test_deficiency_kernels_at_2_pow_70(modulus):
+    # past every int64 guard; at most 32 terms, so the reference loop stays short
+    stable = 2**70
+    plain, weighted = _deficiency_by_loop(stable, modulus), _weighted_by_loop(stable, modulus)
+    assert deficiency_sum(stable, modulus) == _backend.deficiency_sum(stable, modulus) == plain
+    assert (
+        weighted_deficiency_sum(stable, modulus)
+        == _backend.weighted_deficiency_sum(stable, modulus)
+        == weighted
     )
+
+
+@pytest.mark.parametrize("kernel", [_backend.deficiency_sum, _backend.weighted_deficiency_sum])
+@pytest.mark.parametrize("modulus", [0, -3])
+def test_modulus_below_one_is_refused(kernel, modulus):
+    # both backends: the compiled loop would never end, range() would raise or return 0
+    with pytest.raises(ValidationError, match="modulus"):
+        kernel(50, modulus)
 
 
 @given(st.data())
@@ -122,3 +184,19 @@ def test_pure_env_zero_means_off():
     )
     expected = "compiled" if _kernels_importable() else "pure"
     assert out.stdout.strip() == expected
+
+
+def test_bench_kernels_smoke():
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    out = subprocess.run(
+        [sys.executable, str(REPO / "benchmarks" / "bench_kernels.py"), "--repeat", "1"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    # one timing row per (kernel, size) case: two sizes of each kernel
+    names = [line.split()[0] for line in out.stdout.splitlines() if line.strip()]
+    for kernel in ("deficiency_sum", "weighted_deficiency_sum", "truncated_section_sum"):
+        assert names.count(kernel) == 2, out.stdout

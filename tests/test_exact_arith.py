@@ -136,6 +136,19 @@ class TestRationalInterval:
         assert outer.contains_interval(RationalInterval(-1, 2))
         assert not outer.contains_interval(RationalInterval(-3, 0))
 
+    def test_endpoints_become_exact_fractions(self):
+        class SubFraction(Fraction):
+            pass
+
+        box = RationalInterval(-2, "7/3")
+        assert (box.lo, box.hi) == (Fraction(-2), Fraction(7, 3))
+        sub = RationalInterval(SubFraction(1, 2), SubFraction(3, 2))
+        assert (sub.lo, sub.hi) == (Fraction(1, 2), Fraction(3, 2))
+        for end in (box.lo, box.hi, sub.lo, sub.hi):
+            assert type(end) is Fraction
+        with pytest.raises(ValidationError):
+            RationalInterval("1/2", Fraction(1, 3))
+
     def test_serialization(self):
         box = RationalInterval(Fraction(149900, 3), Fraction(151900, 3))
         assert box.to_dict() == {"lo": "149900/3", "hi": "151900/3"}

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flagbound.errors import ValidationError
+from flagbound.exact_arith import RationalInterval
 from flagbound.hilbert_profiles import DeltaSequence, HilbertProfile
 from flagbound.lemma_engine import (
     LemmaInput,
@@ -263,6 +265,16 @@ class TestTermEstimates:
         env = term_estimate_intervals(r, s)
         assert env.within_envelope
         assert 0 < env.tightness_ratio <= 1
+
+    def test_envelope_edges(self):
+        env = term_estimate_intervals(4, 3)
+        radius = env.envelope_radius
+        tiny = Fraction(1, 10**9)
+        touching = replace(env, aggregate=RationalInterval(-radius, radius))
+        assert touching.within_envelope
+        assert touching.tightness_ratio == 1
+        assert not replace(env, aggregate=RationalInterval(-radius - tiny, 0)).within_envelope
+        assert not replace(env, aggregate=RationalInterval(0, radius + tiny)).within_envelope
 
     def test_serialization(self):
         doc = term_estimate_intervals(4, 3).to_dict()
