@@ -21,7 +21,7 @@ from .errors import (
     UndecidedComparisonError,
     ValidationError,
 )
-from .exact_arith import format_rational, parse_rational
+from .exact_arith import format_rational
 from .fields import INT, INTS, OBJECT, read_fields
 from .flag_recurrence import (
     corollary_alternative_bound,
@@ -35,6 +35,7 @@ from .hypothesis_checker import (
     check_corollary_degree,
     check_flag_separation,
     check_lemma_degree,
+    corollary_degree_verdict,
 )
 from .lemma_engine import (
     LemmaInput,
@@ -149,12 +150,20 @@ def _lemma(data: dict) -> dict:
     }
 
 
-def _corollary(r: int, d: int, s: int, pi: int) -> dict:
-    return {
-        "bound": format_rational(corollary_bound(r, d, s, pi)),
-        "alternativeBound": format_rational(corollary_alternative_bound(r, d, s)),
-        "degreeHypotheses": check_corollary_degree(r, d, s).verdict.value,
+def _corollary(r: int, d: int, s: int, pi: int, dichotomy: bool = False) -> dict:
+    """The batch result; with dichotomy, also whether the alternative bound
+    is strictly less, when the degree hypotheses pass."""
+    bound = corollary_bound(r, d, s, pi)
+    alternative = corollary_alternative_bound(r, d, s)
+    verdict = corollary_degree_verdict(r, d, s)
+    result = {
+        "bound": format_rational(bound),
+        "alternativeBound": format_rational(alternative),
+        "degreeHypotheses": verdict.value,
     }
+    if dichotomy and verdict is Verdict.PASS:
+        result["alternativeStrictlyLess"] = alternative < bound
+    return result
 
 
 def _speciality(d: int, s: int, pi: int) -> dict:
@@ -225,12 +234,8 @@ def _cmd_corollary(args) -> int:
     # The bound is meaningful arithmetic for any valid (r, d, s, pi); the
     # degree hypotheses gate only the dichotomy comparison, so their status
     # is reported instead of refusing to compute.
-    result = _corollary(args.r, args.d, args.s, args.pi)
-    doc = {**_echo(args, "corollary"), **result}
-    if result["degreeHypotheses"] == Verdict.PASS.value:
-        alternative, bound = (parse_rational(result[k]) for k in ("alternativeBound", "bound"))
-        doc["alternativeStrictlyLess"] = alternative < bound
-    _emit(doc, args.format)
+    result = _corollary(args.r, args.d, args.s, args.pi, dichotomy=True)
+    _emit({**_echo(args, "corollary"), **result}, args.format)
     return _status(result)
 
 

@@ -57,7 +57,10 @@ def binomial(n: int, k: int) -> int:
 
 def format_rational(value: Fraction | int) -> str:
     """Render as 'p/q', or just 'p' for integers.  Inverse of parse_rational."""
-    value = Fraction(value)
+    if type(value) is int:
+        return str(value)
+    if type(value) is not Fraction:
+        value = Fraction(value)
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
@@ -163,20 +166,6 @@ class RationalInterval:
     def contains_interval(self, other: "RationalInterval") -> bool:
         return self.lo <= other.lo and other.hi <= self.hi
 
-    def expand(self, radius: Fraction | int) -> "RationalInterval":
-        radius = Fraction(radius)
-        if radius < 0:
-            raise ValidationError(f"expansion radius must be >= 0, got {radius}")
-        return RationalInterval(self.lo - radius, self.hi + radius)
-
-    def affine_image(self, scale: Fraction | int, offset: Fraction | int) -> "RationalInterval":
-        # Image under x -> scale*x + offset; monotone, so scale must be >= 0.
-        scale = Fraction(scale)
-        if scale < 0:
-            raise ValidationError(f"affine scale must be >= 0, got {scale}")
-        offset = Fraction(offset)
-        return RationalInterval(scale * self.lo + offset, scale * self.hi + offset)
-
     def to_dict(self) -> dict:
         return {"lo": format_rational(self.lo), "hi": format_rational(self.hi)}
 
@@ -197,7 +186,8 @@ class RadicalProduct:
     factors: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "scalar", Fraction(self.scalar))
+        if type(self.scalar) is not Fraction:
+            object.__setattr__(self, "scalar", Fraction(self.scalar))
         object.__setattr__(self, "factors", tuple((int(b), int(e)) for b, e in self.factors))
         if self.scalar <= 0:
             raise ValidationError(f"radical scalar must be positive, got {self.scalar}")
@@ -275,9 +265,14 @@ def compare_radical_exact(lhs: int, rhs: RadicalProduct) -> Comparison:
     L = rhs.root_lcm
     p, q = rhs.scalar.numerator, rhs.scalar.denominator
     left = (lhs * q) ** L
-    right = p**L
+    # One power per distinct base: factors often repeat a base under
+    # different roots, and base**a * base**b is base**(a+b).
+    exponents: dict[int, int] = {}
     for base, root in rhs.factors:
-        right *= base ** (L // root)
+        exponents[base] = exponents.get(base, 0) + L // root
+    right = p**L
+    for base, exponent in exponents.items():
+        right *= base**exponent
     if left < right:
         return Comparison.LESS
     if left > right:

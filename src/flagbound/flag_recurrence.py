@@ -10,7 +10,8 @@ recursion
 is evaluated over exact rational intervals: the affine map has positive
 slope s_1/s_2, so the inner interval maps monotonically, then widens by
 the unknown-R radius.  Nothing tighter than the full +-s_2^3/(r-2) slab is
-claimed at any level.
+claimed at any level.  The fold runs on integer numerators over one common
+denominator; each endpoint becomes a Fraction once, at the end.
 
 The closed corollary bound, its alternative form one degree up, the
 dichotomy comparison between the two, and the speciality bound live here
@@ -27,8 +28,8 @@ from .castelnuovo import castelnuovo_bound
 from .errors import HypothesisFailureError, UndecidedComparisonError, ValidationError
 from .exact_arith import RationalInterval, format_rational
 from .flags import FlagCondition
-from .hypothesis_checker import HypothesisReport, Verdict, check_corollary_degree, check_flag_separation
-from .lemma_engine import quadratic_genus_bound
+from .hypothesis_checker import Verdict, check_corollary_degree, flag_separation_verdict
+from .lemma_engine import quadratic_genus_numerator
 
 GenusInterval = RationalInterval
 
@@ -38,14 +39,14 @@ class FlagGenusResult:
     """Genus interval plus the status of the separation hypotheses.
 
     The interval is computed unconditionally; hypotheses_verified records
-    whether the separation checks certify it.  Single-degree flags have no
-    separation hypotheses, so they verify vacuously with no report.
+    whether the separation checks certify it (check_flag_separation gives
+    the checks themselves).  Single-degree flags have no separation
+    hypotheses, so they verify vacuously.
     """
 
     flag: FlagCondition
     interval: GenusInterval
     hypotheses_verified: bool
-    report: HypothesisReport | None
 
     def to_dict(self) -> dict:
         return {
@@ -57,26 +58,38 @@ class FlagGenusResult:
 
 def _interval(flag: FlagCondition) -> GenusInterval:
     """The recursion folded outward from the innermost level, a Castelnuovo
-    point; level i (0-based) is the flag (r-i; s_{i+1}, ..., s_l)."""
+    point; level i (0-based) is the flag (r-i; s_{i+1}, ..., s_l).
+
+    The endpoints are lo/den and hi/den over one positive integer den.  A
+    level maps x to (s1/s2) x + s1(s1-2-s2)/(2 s2) -+ s2^3/m, m = r-i-2,
+    whose common denominator with den is 2 s2 m den.
+    """
     r, degrees = flag.r, flag.degrees
     l = len(degrees)
-    interval = GenusInterval.point(castelnuovo_bound(r - l + 1, degrees[-1]))
+    lo = hi = castelnuovo_bound(r - l + 1, degrees[-1])
+    den = 1
     for i in range(l - 2, -1, -1):
         s1, s2 = degrees[i], degrees[i + 1]
-        scale = Fraction(s1, s2)
-        offset = Fraction(s1 * s1, 2 * s2) + Fraction(s1, 2 * s2) * (-2 - s2)
-        interval = interval.affine_image(scale, offset).expand(Fraction(s2**3, r - i - 2))
-    return interval
+        m = r - i - 2
+        offset = s1 * (s1 - 2 - s2) * m * den
+        radius = 2 * s2**4 * den
+        scale = 2 * m * s1
+        lo, hi = scale * lo + offset - radius, scale * hi + offset + radius
+        den *= 2 * s2 * m
+    return GenusInterval(Fraction(lo, den), Fraction(hi, den))
 
 
 def flag_genus_interval(flag: FlagCondition) -> FlagGenusResult:
     """Evaluate the recursion and attach the separation hypothesis status."""
     interval = _interval(flag)
-    if flag.length == 1:
-        return FlagGenusResult(flag, interval, hypotheses_verified=True, report=None)
-    report = check_flag_separation(flag)
-    return FlagGenusResult(
-        flag, interval, hypotheses_verified=report.passed, report=report
+    verified = flag.length == 1 or flag_separation_verdict(flag) is Verdict.PASS
+    return FlagGenusResult(flag, interval, hypotheses_verified=verified)
+
+
+def _corollary_form(r: int, d: int, s: int, pi: int) -> Fraction:
+    """quadratic_genus_bound(d, s, pi, s^3/(r-2)) over its one denominator 2s(r-2)."""
+    return Fraction(
+        quadratic_genus_numerator(d, s, pi) * (r - 2) + 2 * s**4, 2 * s * (r - 2)
     )
 
 
@@ -86,7 +99,7 @@ def corollary_bound(r: int, d: int, s: int, pi: int) -> Fraction:
         raise ValidationError(f"ambient dimension r must be >= 3, got {r}")
     if s < r - 1:
         raise ValidationError(f"need s >= r-1 = {r - 1}, got {s}")
-    return quadratic_genus_bound(d, s, pi, Fraction(s**3, r - 2))
+    return _corollary_form(r, d, s, pi)
 
 
 def corollary_alternative_bound(r: int, d: int, s: int) -> Fraction:
@@ -99,8 +112,7 @@ def corollary_alternative_bound(r: int, d: int, s: int) -> Fraction:
         raise ValidationError(f"ambient dimension r must be >= 3, got {r}")
     if s + 1 < r - 1:
         raise ValidationError(f"need s+1 >= r-1 = {r - 1}, got s={s}")
-    genus_up = castelnuovo_bound(r - 1, s + 1)
-    return quadratic_genus_bound(d, s + 1, genus_up, Fraction((s + 1) ** 3, r - 2))
+    return _corollary_form(r, d, s + 1, castelnuovo_bound(r - 1, s + 1))
 
 
 class Regime(Enum):

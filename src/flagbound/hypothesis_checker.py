@@ -11,7 +11,10 @@ Three families:
 All comparisons are exact.  Radical thresholds go through compare_radical,
 so a verdict can be undecided only past the digit budget; rational
 thresholds always decide.  Reports render each threshold exactly and,
-on request, as an explicitly approximate decimal.
+on request, as an explicitly approximate decimal.  Callers that need only
+the verdict (flag intervals, batch records, sampling) use the *_verdict
+functions, which read the same thresholds, compare them as integers and
+decide every rational check before any radical one.
 """
 
 from __future__ import annotations
@@ -116,15 +119,67 @@ class HypothesisReport:
         }
 
 
+def _rational_check(label: str, lhs: int, relation: str, threshold: Fraction) -> HypothesisCheck:
+    verdict = _verdict(_compare_fraction(lhs, threshold), relation)
+    return HypothesisCheck(label, lhs, relation, threshold, verdict)
+
+
+def _radical_check(label: str, lhs: int, product: RadicalProduct) -> HypothesisCheck:
+    return HypothesisCheck(label, lhs, ">", product, _verdict(compare_radical(lhs, product), ">"))
+
+
+def _radicals_verdict(pairs) -> Verdict:
+    """The verdict of lhs > product over (lhs, product) pairs, as a report
+    would aggregate it: FAIL at the first failure, else UNDECIDED if any
+    comparison was, else PASS."""
+    verdict = Verdict.PASS
+    for lhs, product in pairs:
+        comparison = compare_radical(lhs, product)
+        if comparison is Comparison.UNDECIDED:
+            verdict = Verdict.UNDECIDED
+        elif comparison is not Comparison.GREATER:
+            return Verdict.FAIL
+    return verdict
+
+
+def _separation_rationals(r: int, l: int, i: int, s_next: int) -> tuple[int, int, int, int]:
+    """Level i's rational thresholds over their common denominator r-i-1,
+    as (r-i-1, cubic, quadratic, quartic) numerators:
+
+        cubic     = 8(l-1)(k^2+2k+9)(s_{i+1}+1)^3/(r-i-1),  k = l-i+1  (s_i >=)
+        quadratic = (s_{i+1}+1)^2/(r-i-1) + (2r-2)(s_{i+1}+1)        (s_i >)
+        quartic   = 2 s_{i+1}^4/(r-i-1)                               (s_i >)
+    """
+    denom = r - i - 1
+    k = l - i + 1
+    t = s_next + 1
+    return (
+        denom,
+        8 * (l - 1) * (k * k + 2 * k + 9) * t**3,
+        t * t + (2 * r - 2) * t * denom,
+        2 * s_next**4,
+    )
+
+
+def _separation_radical(r: int, i: int, s_next: int) -> RadicalProduct:
+    """Level i's radical threshold (s_i >):
+
+        2(s_{i+1}+1)/(r-i-1) * prod_{j=1}^{r-1-i} [(r-i)!(s_{i+1}+1)]^(1/(r-i-j))
+    """
+    base = math.factorial(r - i) * (s_next + 1)
+    return RadicalProduct(
+        Fraction(2 * (s_next + 1), r - i - 1),
+        tuple((base, r - i - j) for j in range(1, r - i)),
+    )
+
+
 def check_flag_separation(flag: FlagCondition) -> HypothesisReport:
     """The four separation inequalities between each s_i and s_{i+1}.
 
     The first is non-strict (>=), the other three strict, matching how the
-    conditions are stated.  The radical-product check compares s_i against
-
-        2(s_{i+1}+1)/(r-i-1) * prod_{j=1}^{r-1-i} [(r-i)!(s_{i+1}+1)]^(1/(r-i-j))
-
-    exactly; i runs over 1..l-1, where the flag invariant keeps r-i-1 >= 1.
+    conditions are stated (see _separation_rationals and
+    _separation_radical); i runs over 1..l-1, where the flag invariant keeps
+    r-i-1 >= 1.  The radical product is compared exactly.
     """
     if flag.length < 2:
         raise ValidationError("flag separation needs at least two degrees")
@@ -133,87 +188,80 @@ def check_flag_separation(flag: FlagCondition) -> HypothesisReport:
     for i in range(1, l):
         s_i = flag.degrees[i - 1]
         s_next = flag.degrees[i]
-        denom = r - i - 1
-        k = l - i + 1
-        cubic = Fraction(8 * (l - 1) * (k * k + 2 * k + 9) * (s_next + 1) ** 3, denom)
+        denom, cubic, quadratic, quartic = _separation_rationals(r, l, i, s_next)
+        checks.append(_rational_check(f"i={i} cubic", s_i, ">=", Fraction(cubic, denom)))
         checks.append(
-            HypothesisCheck(
-                label=f"i={i} cubic",
-                lhs=s_i,
-                relation=">=",
-                threshold=cubic,
-                verdict=_verdict(_compare_fraction(s_i, cubic), ">="),
-            )
-        )
-        quadratic = Fraction((s_next + 1) ** 2, denom) + (2 * r - 2) * (s_next + 1)
-        checks.append(
-            HypothesisCheck(
-                label=f"i={i} quadratic",
-                lhs=s_i,
-                relation=">",
-                threshold=quadratic,
-                verdict=_verdict(_compare_fraction(s_i, quadratic), ">"),
-            )
-        )
-        product = RadicalProduct(
-            Fraction(2 * (s_next + 1), denom),
-            tuple(
-                (math.factorial(r - i) * (s_next + 1), r - i - j)
-                for j in range(1, r - i)
-            ),
+            _rational_check(f"i={i} quadratic", s_i, ">", Fraction(quadratic, denom))
         )
         checks.append(
-            HypothesisCheck(
-                label=f"i={i} radical-product",
-                lhs=s_i,
-                relation=">",
-                threshold=product,
-                verdict=_verdict(compare_radical(s_i, product), ">"),
-            )
+            _radical_check(f"i={i} radical-product", s_i, _separation_radical(r, i, s_next))
         )
-        quartic = Fraction(2 * s_next**4, denom)
-        checks.append(
-            HypothesisCheck(
-                label=f"i={i} quartic",
-                lhs=s_i,
-                relation=">",
-                threshold=quartic,
-                verdict=_verdict(_compare_fraction(s_i, quartic), ">"),
-            )
-        )
+        checks.append(_rational_check(f"i={i} quartic", s_i, ">", Fraction(quartic, denom)))
     return HypothesisReport(subject="flagSeparation", checks=tuple(checks))
 
 
-def check_corollary_degree(r: int, d: int, s: int) -> HypothesisReport:
-    """The two d-large conditions: a radical product and 6(s+1)^3/(r-2)."""
+def flag_separation_verdict(flag: FlagCondition) -> Verdict:
+    """check_flag_separation(flag).verdict, without building the report.
+
+    Cheapest first: every rational threshold of every level is compared,
+    by cross-multiplying with its positive denominator, before any radical
+    one, and the first failure decides.
+    """
+    if flag.length < 2:
+        raise ValidationError("flag separation needs at least two degrees")
+    r, l, degrees = flag.r, flag.length, flag.degrees
+    for i in range(1, l):
+        denom, cubic, quadratic, quartic = _separation_rationals(r, l, i, degrees[i])
+        lhs = degrees[i - 1] * denom
+        if lhs < cubic or lhs <= quadratic or lhs <= quartic:
+            return Verdict.FAIL
+    return _radicals_verdict(
+        (degrees[i - 1], _separation_radical(r, i, degrees[i])) for i in range(1, l)
+    )
+
+
+def _validate_corollary(r: int, d: int, s: int) -> None:
     if r < 3:
         raise ValidationError(f"ambient dimension r must be >= 3, got {r}")
     if s < r - 1:
         raise ValidationError(f"need s >= r-1 = {r - 1}, got {s}")
     if d < 1:
         raise ValidationError(f"degree d must be >= 1, got {d}")
-    product = RadicalProduct(
+
+
+def _corollary_cubic(r: int, s: int) -> tuple[int, int]:
+    """The cubic threshold 6(s+1)^3/(r-2) (d >) as (denominator, numerator)."""
+    return r - 2, 6 * (s + 1) ** 3
+
+
+def _corollary_radical(r: int, s: int) -> RadicalProduct:
+    """The radical threshold (d >): 2(s+1)/(r-2) * prod_{i=1}^{r-2} ((r-1)!(s+1))^(1/(r-1-i))."""
+    base = math.factorial(r - 1) * (s + 1)
+    return RadicalProduct(
         Fraction(2 * (s + 1), r - 2),
-        tuple((math.factorial(r - 1) * (s + 1), r - 1 - i) for i in range(1, r - 1)),
+        tuple((base, r - 1 - i) for i in range(1, r - 1)),
     )
-    cubic = Fraction(6 * (s + 1) ** 3, r - 2)
+
+
+def check_corollary_degree(r: int, d: int, s: int) -> HypothesisReport:
+    """The two d-large conditions: a radical product and 6(s+1)^3/(r-2)."""
+    _validate_corollary(r, d, s)
+    denom, cubic = _corollary_cubic(r, s)
     checks = (
-        HypothesisCheck(
-            label="radical-product",
-            lhs=d,
-            relation=">",
-            threshold=product,
-            verdict=_verdict(compare_radical(d, product), ">"),
-        ),
-        HypothesisCheck(
-            label="cubic",
-            lhs=d,
-            relation=">",
-            threshold=cubic,
-            verdict=_verdict(_compare_fraction(d, cubic), ">"),
-        ),
+        _radical_check("radical-product", d, _corollary_radical(r, s)),
+        _rational_check("cubic", d, ">", Fraction(cubic, denom)),
     )
     return HypothesisReport(subject="corollaryDegree", checks=checks)
+
+
+def corollary_degree_verdict(r: int, d: int, s: int) -> Verdict:
+    """check_corollary_degree(r, d, s).verdict, without building the report:
+    the cubic threshold first, the radical one only if the cubic passes."""
+    _validate_corollary(r, d, s)
+    denom, cubic = _corollary_cubic(r, s)
+    if d * denom <= cubic:
+        return Verdict.FAIL
+    return _radicals_verdict(((d, _corollary_radical(r, s)),))
 
 
 def check_lemma_degree(r: int, d: int, s: int) -> HypothesisReport:
@@ -221,11 +269,5 @@ def check_lemma_degree(r: int, d: int, s: int) -> HypothesisReport:
     if d < 1:
         raise ValidationError(f"degree d must be >= 1, got {d}")
     threshold, relation = lemma_degree_threshold(r, s)
-    check = HypothesisCheck(
-        label=f"r={r} degree floor",
-        lhs=d,
-        relation=relation,
-        threshold=Fraction(threshold),
-        verdict=_verdict(_compare_fraction(d, Fraction(threshold)), relation),
-    )
+    check = _rational_check(f"r={r} degree floor", d, relation, Fraction(threshold))
     return HypothesisReport(subject="lemmaDegree", checks=(check,))

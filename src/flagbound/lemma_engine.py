@@ -223,12 +223,13 @@ class LemmaInput:
 
 @dataclass(frozen=True)
 class RemainderDecomposition:
-    """The four signed pieces of R and their total."""
+    """The four signed pieces of R and their total; only epsilon_term (and
+    so the total) can be fractional, the three sums are integers."""
 
     epsilon_term: Fraction
-    point_sum_term: Fraction
-    delta_sum_term: Fraction
-    tail_term: Fraction
+    point_sum_term: int
+    delta_sum_term: int
+    tail_term: int
     total: Fraction
 
     def to_dict(self) -> dict:
@@ -245,29 +246,32 @@ def remainder_decomposition(inp: LemmaInput) -> RemainderDecomposition:
     """Assemble R piece by piece from validated input data."""
     s, eps, pi = inp.s, inp.eps, inp.pi
     epsilon_term = Fraction((1 + eps) * (s + 1 - eps - 2 * pi), 2 * s)
-    point_sum = Fraction(
-        sum((i - 1) * (s - h) for i, h in enumerate(inp.point_profile.values) if i >= 1)
-    )
-    delta_sum = Fraction(inp.deltas.weighted_total)
-    tail_term = Fraction(sum(inp.tail))
+    point_sum = sum((i - 1) * (s - h) for i, h in enumerate(inp.point_profile.values) if i >= 1)
+    delta_sum = inp.deltas.weighted_total
+    tail_term = sum(inp.tail)
     return RemainderDecomposition(
         epsilon_term=epsilon_term,
         point_sum_term=point_sum,
         delta_sum_term=delta_sum,
         tail_term=tail_term,
-        total=epsilon_term - point_sum + delta_sum + tail_term,
+        total=epsilon_term + (delta_sum + tail_term - point_sum),
     )
 
 
-def quadratic_genus_bound(d: int, s: int, pi: int, remainder: Fraction | int = 0) -> Fraction:
-    """d**2/(2s) + (d/(2s))*(2*pi - 2 - s) + remainder, exactly."""
+def quadratic_genus_numerator(d: int, s: int, pi: int) -> int:
+    """d*(d + 2*pi - 2 - s): the remainder-free quadratic bound times 2s."""
     if s < 1:
         raise ValidationError(f"section degree s must be >= 1, got {s}")
     if d < 1:
         raise ValidationError(f"degree d must be >= 1, got {d}")
     if pi < 0:
         raise ValidationError(f"sectional genus must be >= 0, got {pi}")
-    return Fraction(d * d, 2 * s) + Fraction(d, 2 * s) * (2 * pi - 2 - s) + Fraction(remainder)
+    return d * (d + 2 * pi - 2 - s)
+
+
+def quadratic_genus_bound(d: int, s: int, pi: int, remainder: Fraction | int = 0) -> Fraction:
+    """d**2/(2s) + (d/(2s))*(2*pi - 2 - s) + remainder, exactly."""
+    return Fraction(quadratic_genus_numerator(d, s, pi), 2 * s) + remainder
 
 
 def genus_from_lemma_input(inp: LemmaInput) -> int:

@@ -16,7 +16,7 @@ from .errors import ValidationError
 from .exact_arith import RadicalProduct
 from .flags import FlagCondition
 from .hilbert_profiles import DeltaSequence, HilbertProfile, genus_sum
-from .hypothesis_checker import check_corollary_degree
+from .hypothesis_checker import Verdict, check_corollary_degree, corollary_degree_verdict
 from .lemma_engine import LemmaInput, lemma_degree_threshold
 
 
@@ -110,7 +110,7 @@ def random_corollary_case(rng: random.Random) -> tuple[int, int, int, int]:
     start = max(start, int(cubic) + 1)
     d = start + rng.randint(1, 5000)
     for _ in range(8):
-        if check_corollary_degree(r, d, s).passed:
+        if corollary_degree_verdict(r, d, s) is Verdict.PASS:
             break
         d *= 2
     else:

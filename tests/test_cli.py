@@ -391,6 +391,14 @@ class TestBatchExitCodes:
         assert docs[0]["ok"] is True
         assert docs[0]["result"]["degreeHypotheses"] == "undecided"
 
+    def test_undecided_flag_is_not_verified(self, capsys, monkeypatch, faults):
+        # every rational separation threshold passes; only the radical is undecided
+        line = json.dumps({"op": "flag", "r": 5, "degrees": [10**6, 10]})
+        code, docs = run_batch(capsys, monkeypatch, line + "\n" + self.UNDECIDED)
+        assert docs[0]["result"]["hypothesesVerified"] is False
+        assert docs[1]["result"]["degreeHypotheses"] == "undecided"
+        assert code == 3
+
     def test_identity_violation_is_reported(self, capsys, monkeypatch, faults):
         _, docs = run_batch(capsys, monkeypatch, self.VIOLATED)
         assert docs[0]["ok"] is False

@@ -18,8 +18,36 @@ from flagbound.flag_recurrence import (
     speciality_bound,
 )
 from flagbound.flags import FlagCondition
+from flagbound.hypothesis_checker import check_flag_separation
 from flagbound.lemma_engine import quadratic_genus_bound
 from flagbound.sampling import random_flag
+
+
+def _fraction_fold(flag: FlagCondition) -> tuple[Fraction, Fraction]:
+    """The recursion over Fraction endpoints: per level, the affine map
+    x -> (s1/s2) x + s1^2/(2 s2) + (s1/(2 s2))(-2 - s2), then widening by
+    s2^3/(r-i-2)."""
+    r, degrees = flag.r, flag.degrees
+    lo = hi = Fraction(castelnuovo_bound(r - len(degrees) + 1, degrees[-1]))
+    for i in range(len(degrees) - 2, -1, -1):
+        s1, s2 = degrees[i], degrees[i + 1]
+        scale = Fraction(s1, s2)
+        offset = Fraction(s1 * s1, 2 * s2) + Fraction(s1, 2 * s2) * (-2 - s2)
+        radius = Fraction(s2**3, r - i - 2)
+        lo, hi = scale * lo + offset - radius, scale * hi + offset + radius
+    return lo, hi
+
+
+@st.composite
+def _flags(draw, max_length: int = 6) -> FlagCondition:
+    """Valid flags of length 1..max_length, built innermost first."""
+    length = draw(st.integers(min_value=1, max_value=max_length))
+    r = draw(st.integers(min_value=length + 1, max_value=length + 6))
+    jumps = draw(st.lists(st.integers(min_value=0, max_value=10**5), min_size=length, max_size=length))
+    degrees = [r - length + 1 + jumps[-1]]
+    for i in range(length - 2, -1, -1):
+        degrees.insert(0, max(degrees[0], r - i) + jumps[i])
+    return FlagCondition(r, tuple(degrees))
 
 
 class TestFlagCondition:
@@ -59,14 +87,13 @@ class TestFlagGenusInterval:
         assert result.interval.is_point
         assert result.interval.lo == castelnuovo_bound(5, 1000) == 124251
         assert result.hypotheses_verified is True
-        assert result.report is None
 
     def test_frozen_two_step(self):
         result = flag_genus_interval(FlagCondition(5, (1000, 10)))
         assert result.interval.lo == Fraction(149900, 3)
         assert result.interval.hi == Fraction(151900, 3)
         assert result.hypotheses_verified is False  # separation needs a larger s_1
-        assert result.report is not None
+        assert result.hypotheses_verified == check_flag_separation(result.flag).passed
 
     def test_two_step_midpoint_is_quadratic_bound(self):
         for r, s1, s2 in [(5, 1000, 10), (4, 500, 21), (6, 10**6, 97)]:
@@ -112,6 +139,17 @@ class TestFlagGenusInterval:
         outer, inner = _interval(flag), _interval(flag.peel())
         s1, s2 = flag.degrees[0], flag.degrees[1]
         assert outer.width == Fraction(s1, s2) * inner.width + 2 * Fraction(s2**3, r - 2)
+
+    @given(_flags())
+    @settings(max_examples=200, deadline=None)
+    def test_interval_matches_fraction_fold(self, flag):
+        interval = _interval(flag)
+        assert (interval.lo, interval.hi) == _fraction_fold(flag)
+
+    def test_long_flag_matches_fraction_fold(self):
+        flag = FlagCondition(1500, tuple(range(1500, 1, -1)))
+        interval = _interval(flag)
+        assert (interval.lo, interval.hi) == _fraction_fold(flag)
 
     def test_interval_contains_affine_image_of_inner(self):
         flag = FlagCondition(6, (5000, 300, 20))
