@@ -12,144 +12,27 @@ oracle_suite and behind the CLI verb `verify`.
 """
 
 from ._backend import backend_name
-from .castelnuovo import castelnuovo_bound, min_point_hilbert, quadratic_envelope
-from .errors import (
-    FlagboundError,
-    HypothesisFailureError,
-    IdentityViolationError,
-    InconsistencyError,
-    UndecidedComparisonError,
-    ValidationError,
-)
-from .euclid_forms import DividendLabel, DivisionForm, split_m_epsilon, split_w_v
-from .exact_arith import (
-    Comparison,
-    RadicalProduct,
-    RationalInterval,
-    binomial,
-    compare_radical,
-    format_rational,
-    fraction_approx,
-    integer_nth_root,
-    parse_rational,
-)
-from .flag_recurrence import (
-    DichotomyReport,
-    FlagGenusResult,
-    GenusInterval,
-    Regime,
-    corollary_alternative_bound,
-    corollary_bound,
-    corollary_dichotomy,
-    flag_genus_interval,
-    speciality_bound,
-)
+from .castelnuovo import castelnuovo_bound
+from .flag_recurrence import flag_genus_interval
 from .flags import FlagCondition
-from .hilbert_profiles import (
-    DeltaSequence,
-    HilbertProfile,
-    accumulate_surface_section,
-    extremal_point_profile,
-    genus_sum,
-    sectional_genus,
-)
-from .hypothesis_checker import (
-    HypothesisCheck,
-    HypothesisReport,
-    Verdict,
-    check_corollary_degree,
-    check_flag_separation,
-    check_lemma_degree,
-)
+from .hilbert_profiles import HilbertProfile
 from .lemma_engine import (
     LemmaInput,
-    RemainderDecomposition,
-    RemainderEnvelope,
-    acm_remainder,
     genus_from_lemma_input,
-    lemma_degree_threshold,
     quadratic_genus_bound,
     remainder_decomposition,
-    tail_cap,
-    term_estimate_intervals,
-)
-from .oracle_suite import (
-    EnvelopeScanReport,
-    LemmaChainResult,
-    VerificationReport,
-    oracle_envelope_scan,
-    oracle_lemma_chain,
-    oracle_point_deficiency_sum,
-    oracle_weighted_deficiency_sum,
-    scan_castelnuovo_equivalence,
-    verify_all,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Comparison",
-    "DeltaSequence",
-    "DichotomyReport",
-    "DividendLabel",
-    "DivisionForm",
-    "EnvelopeScanReport",
     "FlagCondition",
-    "FlagGenusResult",
-    "FlagboundError",
-    "GenusInterval",
     "HilbertProfile",
-    "HypothesisCheck",
-    "HypothesisFailureError",
-    "HypothesisReport",
-    "IdentityViolationError",
-    "InconsistencyError",
-    "LemmaChainResult",
     "LemmaInput",
-    "RadicalProduct",
-    "RationalInterval",
-    "Regime",
-    "RemainderDecomposition",
-    "RemainderEnvelope",
-    "UndecidedComparisonError",
-    "ValidationError",
-    "Verdict",
-    "VerificationReport",
-    "accumulate_surface_section",
-    "acm_remainder",
     "backend_name",
-    "binomial",
     "castelnuovo_bound",
-    "check_corollary_degree",
-    "check_flag_separation",
-    "check_lemma_degree",
-    "compare_radical",
-    "corollary_alternative_bound",
-    "corollary_bound",
-    "corollary_dichotomy",
-    "extremal_point_profile",
     "flag_genus_interval",
-    "format_rational",
-    "fraction_approx",
     "genus_from_lemma_input",
-    "genus_sum",
-    "integer_nth_root",
-    "lemma_degree_threshold",
-    "min_point_hilbert",
-    "oracle_envelope_scan",
-    "oracle_lemma_chain",
-    "oracle_point_deficiency_sum",
-    "oracle_weighted_deficiency_sum",
-    "parse_rational",
-    "quadratic_envelope",
     "quadratic_genus_bound",
     "remainder_decomposition",
-    "scan_castelnuovo_equivalence",
-    "sectional_genus",
-    "speciality_bound",
-    "split_m_epsilon",
-    "split_w_v",
-    "tail_cap",
-    "term_estimate_intervals",
-    "verify_all",
 ]

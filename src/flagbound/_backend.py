@@ -1,40 +1,23 @@
-"""Kernel selection: compiled int64 fast path with a pure-Python fallback.
+"""The summation kernels, on Python's arbitrary-precision integers.
 
-The compiled module (flagbound._kernels, built from _kernels.pyx) is used
-when it imported cleanly, FLAGBOUND_PURE is unset, and a conservative bound
-shows every intermediate fits in int64.  Otherwise the arbitrary-precision
-twins in _kernels_py run.  Both implementations are tested against each
-other; results are identical, only speed differs.
+The two deficiency sums are direct summations over their terms (the oracle
+battery checks the closed forms against them), but the loop over the terms
+runs inside `range`, `accumulate` and `sum` rather than as Python bytecode.
 """
 
 from __future__ import annotations
 
-import os
+from itertools import accumulate
 
-from . import _kernels_py as pure
 from .errors import ValidationError
-
-_FORCED_PURE = os.environ.get("FLAGBOUND_PURE", "").strip() not in ("", "0")
-
-compiled = None
-if not _FORCED_PURE:
-    try:
-        from . import _kernels as compiled  # type: ignore[no-redef]
-    except ImportError:
-        compiled = None
-
-# Conservative int64 headroom: intermediates stay below 2**62.
-_INT62 = 2**62
-_STABLE_CAP = 2**31  # deficiency_sum result < stable**2
-_WEIGHTED_STABLE_CAP = 2**20  # weighted result < stable**3
 
 
 def backend_name() -> str:
-    return "compiled" if compiled is not None else "pure"
+    return "pure"
 
 
 def _check_modulus(modulus: int) -> None:
-    # Below 1 the terms never saturate: the compiled loop would not end.
+    # Below 1 the terms never saturate: range() would raise or sum nothing.
     if modulus < 1:
         raise ValidationError(f"modulus must be >= 1, got {modulus}")
 
@@ -42,26 +25,34 @@ def _check_modulus(modulus: int) -> None:
 def deficiency_sum(stable: int, modulus: int) -> int:
     """sum_{i>=1} (stable - min(stable, i*modulus + 1))."""
     _check_modulus(modulus)
-    if compiled is not None and stable <= _STABLE_CAP and modulus <= _INT62:
-        return compiled.deficiency_sum(stable, modulus)
-    return pure.deficiency_sum(stable, modulus)
+    # the positive terms stable - i*modulus - 1 for i = 1, 2, ...
+    return sum(range(stable - modulus - 1, 0, -modulus))
 
 
 def weighted_deficiency_sum(stable: int, modulus: int) -> int:
     """sum_{i>=1} (i - 1) * (stable - min(stable, i*modulus + 1))."""
     _check_modulus(modulus)
-    if compiled is not None and stable <= _WEIGHTED_STABLE_CAP and modulus <= _INT62:
-        return compiled.weighted_deficiency_sum(stable, modulus)
-    return pure.weighted_deficiency_sum(stable, modulus)
+    # the sum of the suffix sums of the terms for i >= 2, so term i is
+    # counted i - 1 times
+    return sum(accumulate(reversed(range(stable - 2 * modulus - 1, 0, -modulus))))
 
 
 def truncated_section_sum(
     d: int, m: int, point_values: list[int], deltas: list[int]
 ) -> tuple[int, int]:
-    """(sum_{i=1..m} (d - h1(i)), h1(m)); point_values must be nondecreasing."""
-    if compiled is not None and 0 <= d < _INT62:
-        # point_values nondecreasing, so its last entry bounds them all
-        h1_cap = (m + 1) * point_values[-1] + sum(deltas)
-        if h1_cap < _INT62 and m * (d + h1_cap) < _INT62:
-            return compiled.truncated_section_sum(d, m, point_values, deltas)
-    return pure.truncated_section_sum(d, m, point_values, deltas)
+    """(sum_{i=1..m} (d - h1(i)), h1(m)).
+
+    h1 is the running sum of point values (extended by their last entry)
+    plus deltas (delta_0 = 0).
+    """
+    top = len(point_values) - 1
+    stable = point_values[top]
+    n_deltas = len(deltas)
+    acc = 0
+    h1 = point_values[0]
+    for i in range(1, m + 1):
+        h1 += point_values[i] if i <= top else stable
+        if i <= n_deltas:
+            h1 += deltas[i - 1]
+        acc += d - h1
+    return acc, h1

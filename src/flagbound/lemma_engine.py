@@ -156,10 +156,7 @@ class LemmaInput:
                 raise ValidationError(
                     f"tail head {self.tail[0]} exceeds the step-m deficiency {head_cap}"
                 )
-            if sum(self.tail) > w * head_cap:
-                raise ValidationError(
-                    f"tail total {sum(self.tail)} exceeds the cap {w}*{head_cap}"
-                )
+            # at most w nonincreasing entries, head <= head_cap: total <= w * head_cap
 
     @cached_property
     def m_eps(self) -> DivisionForm:
@@ -386,16 +383,3 @@ def acm_remainder(
         - surface_genus
         + sum(int(t) for t in tail)
     )
-
-
-def tail_cap(r: int, s: int, d: int, pi: int) -> int:
-    """w * (eps + pi): the cap on the total tail deficiency past step m.
-
-    eps + pi is the deficiency d - h(m) at the truncation step, and at most
-    w further steps can carry deficiency.
-    """
-    if pi < 0:
-        raise ValidationError(f"sectional genus must be >= 0, got {pi}")
-    w = split_w_v(s, r).quotient
-    eps = split_m_epsilon(d, s).remainder
-    return w * (eps + pi)

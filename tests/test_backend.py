@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flagbound import _backend
-from flagbound._kernels_py import (
+from flagbound._backend import (
+    backend_name,
     deficiency_sum,
     truncated_section_sum,
     weighted_deficiency_sum,
@@ -35,6 +35,17 @@ def _weighted_by_loop(stable, modulus):
         acc += (i - 1) * (stable - (i * modulus + 1))
         i += 1
     return acc
+
+
+def _truncated_by_loop(d, m, point_values, deltas):
+    # reference: h1(i) summed afresh at every step from its definition
+    def point(j):
+        return point_values[min(j, len(point_values) - 1)]
+
+    def h1(i):
+        return sum(point(j) for j in range(i + 1)) + sum(deltas[:i])
+
+    return sum(d - h1(i) for i in range(1, m + 1)), h1(m)
 
 
 def test_pure_kernels_frozen():
@@ -67,7 +78,6 @@ def test_truncated_sum_extends_profile_and_deltas():
 def test_deficiency_dispatch_agrees(stable, modulus):
     expected = _deficiency_by_loop(stable, modulus)
     assert deficiency_sum(stable, modulus) == expected
-    assert _backend.deficiency_sum(stable, modulus) == expected
 
 
 @given(
@@ -84,7 +94,6 @@ def test_deficiency_dispatch_agrees(stable, modulus):
 def test_weighted_dispatch_agrees(stable, modulus):
     expected = _weighted_by_loop(stable, modulus)
     assert weighted_deficiency_sum(stable, modulus) == expected
-    assert _backend.weighted_deficiency_sum(stable, modulus) == expected
 
 
 @given(st.integers(min_value=2**65, max_value=2**71))
@@ -92,21 +101,16 @@ def test_weighted_dispatch_agrees(stable, modulus):
 @example(2**69)
 @settings(max_examples=50)
 def test_deficiency_kernels_at_2_pow_70(modulus):
-    # past every int64 guard; at most 32 terms, so the reference loop stays short
+    # far past int64; at most 32 terms, so the reference loop stays short
     stable = 2**70
-    plain, weighted = _deficiency_by_loop(stable, modulus), _weighted_by_loop(stable, modulus)
-    assert deficiency_sum(stable, modulus) == _backend.deficiency_sum(stable, modulus) == plain
-    assert (
-        weighted_deficiency_sum(stable, modulus)
-        == _backend.weighted_deficiency_sum(stable, modulus)
-        == weighted
-    )
+    assert deficiency_sum(stable, modulus) == _deficiency_by_loop(stable, modulus)
+    assert weighted_deficiency_sum(stable, modulus) == _weighted_by_loop(stable, modulus)
 
 
-@pytest.mark.parametrize("kernel", [_backend.deficiency_sum, _backend.weighted_deficiency_sum])
+@pytest.mark.parametrize("kernel", [deficiency_sum, weighted_deficiency_sum])
 @pytest.mark.parametrize("modulus", [0, -3])
 def test_modulus_below_one_is_refused(kernel, modulus):
-    # both backends: the compiled loop would never end, range() would raise or return 0
+    # the terms never saturate: range() would raise or sum nothing
     with pytest.raises(ValidationError, match="modulus"):
         kernel(50, modulus)
 
@@ -125,65 +129,24 @@ def test_truncated_dispatch_agrees(data):
     deltas = data.draw(st.lists(st.integers(min_value=0, max_value=5), max_size=6))
     m = data.draw(st.integers(min_value=len(profile), max_value=len(profile) + 30))
     d = data.draw(st.integers(min_value=(m + 2) * (stable + 6), max_value=10**7))
-    assert _backend.truncated_section_sum(d, m, profile, deltas) == truncated_section_sum(
+    assert truncated_section_sum(d, m, profile, deltas) == _truncated_by_loop(
         d, m, profile, deltas
     )
 
 
 def test_huge_inputs_take_the_pure_path():
-    # past every int64 guard; the dispatcher must still answer correctly
+    # far past int64: the sums stay exact on unbounded ints
     stable = 2**40
-    got = _backend.deficiency_sum(stable, 2**39)
+    got = deficiency_sum(stable, 2**39)
     assert got == 2**39 - 1  # one deficient step, then saturation
     big_d = 2**70
-    acc, last = _backend.truncated_section_sum(big_d, 3, [1, 4, 7], [])
+    acc, last = truncated_section_sum(big_d, 3, [1, 4, 7], [])
     assert acc == 3 * big_d - (5 + 12 + 19)
     assert last == 19
 
 
-def _kernels_importable() -> bool:
-    try:
-        import flagbound._kernels  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
-@pytest.mark.skipif(
-    _backend.compiled is None, reason="compiled kernels not active in this process"
-)
-class TestCompiledDirect:
-    def test_matches_pure_on_guard_boundary(self):
-        stable = 2**20  # exactly the weighted cap
-        assert _backend.compiled.weighted_deficiency_sum(
-            stable, 97
-        ) == weighted_deficiency_sum(stable, 97)
-
-    def test_backend_name(self):
-        assert _backend.backend_name() == "compiled"
-
-
-def test_pure_env_override():
-    code = (
-        "from flagbound import _backend;"
-        "print(_backend.backend_name());"
-        "print(_backend.deficiency_sum(7, 3))"
-    )
-    env = dict(os.environ, FLAGBOUND_PURE="1")
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.split() == ["pure", "3"]
-
-
-def test_pure_env_zero_means_off():
-    code = "from flagbound import _backend; print(_backend.backend_name())"
-    env = dict(os.environ, FLAGBOUND_PURE="0")
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    expected = "compiled" if _kernels_importable() else "pure"
-    assert out.stdout.strip() == expected
+def test_backend_name_is_pure():
+    assert backend_name() == "pure"
 
 
 def test_bench_kernels_smoke():

@@ -17,7 +17,6 @@ from flagbound.lemma_engine import (
     lemma_degree_threshold,
     quadratic_genus_bound,
     remainder_decomposition,
-    tail_cap,
     term_estimate_intervals,
 )
 from flagbound.sampling import random_lemma_input
@@ -116,11 +115,12 @@ class TestLemmaInput:
         profile = HilbertProfile(7, (1, 4, 7))
         base = dict(r=5, d=52, s=7, point_profile=profile)  # eps=2, pi=3, w=2
         LemmaInput(**base, tail=(5, 3))
+        LemmaInput(**base, tail=(5, 5))  # total exactly w * (eps + pi)
         with pytest.raises(ValidationError):
             LemmaInput(**base, tail=(5, 3, 1))  # longer than w
         with pytest.raises(ValidationError):
             LemmaInput(**base, tail=(3, 5))  # increasing
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="tail head 6 exceeds"):
             LemmaInput(**base, tail=(6,))  # head above eps + pi
         with pytest.raises(ValidationError):
             LemmaInput(**base, tail=(-1,))
@@ -306,18 +306,12 @@ class TestAcmRemainder:
 
 
 class TestTailCap:
-    def test_frozen(self):
-        assert tail_cap(5, 7, 50, 3) == 6
-        assert tail_cap(5, 7, 52, 3) == 10  # eps=2
-        assert tail_cap(4, 3, 9, 0) == 2  # w=1, eps=2, pi=0
-        assert tail_cap(4, 3, 10, 0) == 0  # eps=0 and pi=0 leave no slack
-
     def test_caps_actual_tails_under_degree_hypothesis(self):
         rng = random.Random(7)
         seen_nontrivial = 0
         for _ in range(300):
             inp = random_lemma_input(rng, with_tail=True)
-            cap = tail_cap(inp.r, inp.s, inp.d, inp.pi)
+            cap = inp.w * (inp.eps + inp.pi)
             assert sum(inp.tail) <= cap
             if inp.tail:
                 seen_nontrivial += 1
