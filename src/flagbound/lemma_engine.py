@@ -21,8 +21,9 @@ the point profile saturates by step m and the deltas vanish past m; both
 are enforced by LemmaInput.
 
 Term-by-term estimate intervals and the aggregate envelope |R| <= s^3/(r-2)
-are produced by term_estimate_intervals; the all-deltas-zero specialization
-of R by acm_remainder.
+are produced by term_estimate_intervals, as integer numerators over the one
+denominator 6(r-2)^2; the all-deltas-zero specialization of R by
+acm_remainder.
 """
 
 from __future__ import annotations
@@ -30,11 +31,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from . import _backend
 from .errors import InconsistencyError, ValidationError
 from .euclid_forms import DivisionForm, split_m_epsilon, split_w_v
-from .exact_arith import RationalInterval, format_rational
+from .exact_arith import format_rational
 from .fields import BOOL, INT, INTS, OBJECT, read_fields
 from .hilbert_profiles import (
     DeltaSequence,
@@ -289,75 +291,48 @@ def genus_from_lemma_input(inp: LemmaInput) -> int:
     return acc + sum(inp.tail)
 
 
-@dataclass(frozen=True)
-class RemainderEnvelope:
-    """Term-by-term bounds on R's pieces and their signed aggregate."""
+class TermEstimates(NamedTuple):
+    """Bounds on R's pieces as integer numerators over den = 6(r-2)^2.
 
-    r: int
-    s: int
-    epsilon_term: RationalInterval
-    point_sum: RationalInterval
-    delta_sum: RationalInterval
-    tail: RationalInterval
-    aggregate: RationalInterval
-    envelope_radius: Fraction
+    Only the nonzero endpoints are kept: epsilon_term lies in
+    [epsilon_lo, epsilon_hi], and point_sum, delta_sum and tail each lie in
+    [0, their *_hi]; radius is the envelope s^3/(r-2).
+    """
 
-    @property
-    def within_envelope(self) -> bool:
-        radius = self.envelope_radius
-        return -radius <= self.aggregate.lo and self.aggregate.hi <= radius
-
-    @property
-    def tightness_ratio(self) -> Fraction:
-        """How much of the envelope the aggregate uses (1 = touching)."""
-        reach = max(self.aggregate.hi, -self.aggregate.lo)
-        return reach / self.envelope_radius
-
-    def to_dict(self) -> dict:
-        return {
-            "r": self.r,
-            "s": self.s,
-            "epsilonTerm": self.epsilon_term.to_dict(),
-            "pointSum": self.point_sum.to_dict(),
-            "deltaSum": self.delta_sum.to_dict(),
-            "tail": self.tail.to_dict(),
-            "aggregate": self.aggregate.to_dict(),
-            "envelope": format_rational(self.envelope_radius),
-            "withinEnvelope": self.within_envelope,
-            "tightnessRatio": format_rational(self.tightness_ratio),
-        }
+    den: int
+    epsilon_lo: int
+    epsilon_hi: int
+    point_sum_hi: int
+    delta_sum_hi: int
+    tail_hi: int
+    radius: int
 
 
-def term_estimate_intervals(r: int, s: int) -> RemainderEnvelope:
+def term_estimate_intervals(r: int, s: int) -> TermEstimates:
     """Closed intervals bounding each R piece, for r >= 4, s >= r-1.
 
     epsilon_term in [-s^2/(2(r-2)), (s+1)/2]; point_sum in
     [0, s^3/(3(r-2)^2)]; delta_sum in [0, s^2(s-1)/(2(r-2))]; tail in
     [0, s^3/(2(r-2)^2)].  The aggregate follows R's sign pattern
-    (point_sum enters negatively) and stays within +-s^3/(r-2).
+    (point_sum enters negatively) and stays within +-s^3/(r-2).  Every
+    endpoint and the radius are returned as integer numerators over the one
+    denominator 6(r-2)^2, so a caller compares them without Fractions.
     """
     if r < 4:
         raise ValidationError(f"term estimates require r >= 4, got {r}")
     if s < r - 1:
         raise ValidationError(f"need s >= r-1 = {r - 1}, got {s}")
     rm2 = r - 2
-    epsilon_term = RationalInterval(Fraction(-s * s, 2 * rm2), Fraction(s + 1, 2))
-    point_sum = RationalInterval(0, Fraction(s**3, 3 * rm2 * rm2))
-    delta_sum = RationalInterval(0, Fraction(s * s * (s - 1), 2 * rm2))
-    tail = RationalInterval(0, Fraction(s**3, 2 * rm2 * rm2))
-    aggregate = RationalInterval(
-        epsilon_term.lo - point_sum.hi,
-        epsilon_term.hi + delta_sum.hi + tail.hi,
-    )
-    return RemainderEnvelope(
-        r=r,
-        s=s,
-        epsilon_term=epsilon_term,
-        point_sum=point_sum,
-        delta_sum=delta_sum,
-        tail=tail,
-        aggregate=aggregate,
-        envelope_radius=Fraction(s**3, rm2),
+    s2 = s * s
+    s3 = s2 * s
+    return TermEstimates(
+        den=6 * rm2 * rm2,
+        epsilon_lo=-3 * s2 * rm2,
+        epsilon_hi=3 * (s + 1) * rm2 * rm2,
+        point_sum_hi=2 * s3,
+        delta_sum_hi=3 * s2 * (s - 1) * rm2,
+        tail_hi=3 * s3,
+        radius=6 * s3 * rm2,
     )
 
 

@@ -85,8 +85,8 @@ def oracle_weighted_deficiency_sum(r: int, s: int) -> int:
             f"weighted deficiency sum mismatch at (r={r}, s={s}): "
             f"direct {direct} vs closed {closed}"
         )
-    cap = Fraction(s**3, 3 * (r - 2) ** 2)
-    if direct > cap:
+    if 3 * (r - 2) ** 2 * direct > s**3:
+        cap = Fraction(s**3, 3 * (r - 2) ** 2)
         raise IdentityViolationError(
             f"weighted deficiency sum {direct} exceeds its cap {cap} at (r={r}, s={s})"
         )
@@ -182,17 +182,21 @@ def oracle_envelope_scan(r_max: int, s_max: int) -> EnvelopeScanReport:
         raise ValidationError(f"envelope scan needs r_max >= 4, got {r_max}")
     cases = 0
     violations = []
-    tightest = Fraction(-1)
+    # The tightest ratio reach/radius so far, as an integer pair; radius > 0.
+    best_reach, best_radius = -1, 1
     witness = (0, 0)
     for r in range(4, r_max + 1):
         for s in range(r - 1, s_max + 1):
-            env = term_estimate_intervals(r, s)
+            est = term_estimate_intervals(r, s)
             cases += 1
-            if not env.within_envelope:
+            lo = est.epsilon_lo - est.point_sum_hi
+            hi = est.epsilon_hi + est.delta_sum_hi + est.tail_hi
+            radius = est.radius
+            if not (-radius <= lo and hi <= radius):
                 violations.append((r, s))
-            ratio = env.tightness_ratio
-            if ratio > tightest:
-                tightest = ratio
+            reach = max(hi, -lo)
+            if reach * best_radius > best_reach * radius:
+                best_reach, best_radius = reach, radius
                 witness = (r, s)
     if cases == 0:
         raise ValidationError(f"empty scan grid: r_max={r_max}, s_max={s_max}")
@@ -201,7 +205,7 @@ def oracle_envelope_scan(r_max: int, s_max: int) -> EnvelopeScanReport:
         s_max=s_max,
         cases=cases,
         violations=tuple(violations),
-        tightest_ratio=tightest,
+        tightest_ratio=Fraction(best_reach, best_radius),
         tightest_witness=witness,
     )
 
@@ -402,6 +406,17 @@ def verify_all(
     """Run the whole battery and return one row per identity family."""
     if r_max < 4:
         raise ValidationError(f"verification grid needs r_max >= 4, got {r_max}")
+    if n_max < 2 or deg_max < 2:
+        raise ValidationError(f"empty castelnuovo grid: n_max={n_max}, deg_max={deg_max}")
+    counts = {
+        "seeds": seeds,
+        "flag_count": flag_count,
+        "corollary_count": corollary_count,
+        "radical_count": radical_count,
+    }
+    for name, count in counts.items():
+        if count < 0:
+            raise ValidationError(f"{name} must be >= 0, got {count}")
     rng = random.Random(rng_seed)
     rows = [scan_castelnuovo_equivalence(n_max, deg_max)]
     rows.extend(_scan_summation_identities(r_max, s_max))

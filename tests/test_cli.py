@@ -236,6 +236,25 @@ class TestVerify:
         assert code == 1
         assert "--grid" in err
 
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--seeds", "-3", "seeds must be >= 0, got -3"),
+            ("--flags", "-1", "flag_count must be >= 0, got -1"),
+            ("--corollary-cases", "-1", "corollary_count must be >= 0, got -1"),
+            ("--radicals", "-1", "radical_count must be >= 0, got -1"),
+            ("--castelnuovo-grid", "9,1", "empty castelnuovo grid: n_max=9, deg_max=1"),
+            ("--castelnuovo-grid", "1,5", "empty castelnuovo grid: n_max=1, deg_max=5"),
+        ],
+    )
+    def test_refuses_negative_counts_and_empty_grids(self, capsys, flag, value, message):
+        args = list(self.ARGS)
+        args[args.index(flag) + 1] = value
+        code, out, err = run(capsys, *args)
+        assert code == 1
+        assert out == ""
+        assert message in err
+
 
 class TestBatch:
     def test_mixed_records(self, tmp_path, capsys):

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -7,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flagbound.errors import ValidationError
-from flagbound.exact_arith import RationalInterval
 from flagbound.hilbert_profiles import DeltaSequence, HilbertProfile
 from flagbound.lemma_engine import (
     LemmaInput,
@@ -237,17 +235,19 @@ class TestGenusAndBound:
 
 class TestTermEstimates:
     def test_frozen_r4_s3(self):
-        env = term_estimate_intervals(4, 3)
-        assert env.epsilon_term.lo == Fraction(-9, 4)
-        assert env.epsilon_term.hi == 2
-        assert env.point_sum.hi == Fraction(27, 12)
-        assert env.delta_sum.hi == Fraction(9, 2)
-        assert env.tail.hi == Fraction(27, 8)
-        assert env.aggregate.lo == Fraction(-9, 2)
-        assert env.aggregate.hi == Fraction(79, 8)
-        assert env.envelope_radius == Fraction(27, 2)
-        assert env.within_envelope
-        assert env.tightness_ratio == Fraction(79, 108)
+        est = term_estimate_intervals(4, 3)
+        assert est == (24, -54, 48, 54, 108, 81, 324)
+        den = Fraction(est.den)
+        assert est.epsilon_lo / den == Fraction(-9, 4)
+        assert est.epsilon_hi / den == 2
+        assert est.point_sum_hi / den == Fraction(27, 12)
+        assert est.delta_sum_hi / den == Fraction(9, 2)
+        assert est.tail_hi / den == Fraction(27, 8)
+        assert est.radius / den == Fraction(27, 2)
+        lo = est.epsilon_lo - est.point_sum_hi
+        hi = est.epsilon_hi + est.delta_sum_hi + est.tail_hi
+        assert (lo / den, hi / den) == (Fraction(-9, 2), Fraction(79, 8))
+        assert Fraction(max(hi, -lo), est.radius) == Fraction(79, 108)
 
     def test_requires_r_at_least_4(self):
         with pytest.raises(ValidationError):
@@ -262,25 +262,20 @@ class TestTermEstimates:
     @settings(max_examples=120)
     def test_aggregate_inside_envelope(self, r, extra):
         s = r - 1 + extra
-        env = term_estimate_intervals(r, s)
-        assert env.within_envelope
-        assert 0 < env.tightness_ratio <= 1
-
-    def test_envelope_edges(self):
-        env = term_estimate_intervals(4, 3)
-        radius = env.envelope_radius
-        tiny = Fraction(1, 10**9)
-        touching = replace(env, aggregate=RationalInterval(-radius, radius))
-        assert touching.within_envelope
-        assert touching.tightness_ratio == 1
-        assert not replace(env, aggregate=RationalInterval(-radius - tiny, 0)).within_envelope
-        assert not replace(env, aggregate=RationalInterval(0, radius + tiny)).within_envelope
-
-    def test_serialization(self):
-        doc = term_estimate_intervals(4, 3).to_dict()
-        assert doc["envelope"] == "27/2"
-        assert doc["withinEnvelope"] is True
-        assert doc["aggregate"] == {"lo": "-9/2", "hi": "79/8"}
+        est = term_estimate_intervals(r, s)
+        rm2 = r - 2
+        assert est.den == 6 * rm2 * rm2
+        den = Fraction(est.den)
+        assert est.epsilon_lo / den == Fraction(-s * s, 2 * rm2)
+        assert est.epsilon_hi / den == Fraction(s + 1, 2)
+        assert est.point_sum_hi / den == Fraction(s**3, 3 * rm2 * rm2)
+        assert est.delta_sum_hi / den == Fraction(s * s * (s - 1), 2 * rm2)
+        assert est.tail_hi / den == Fraction(s**3, 2 * rm2 * rm2)
+        assert est.radius / den == Fraction(s**3, rm2)
+        lo = est.epsilon_lo - est.point_sum_hi
+        hi = est.epsilon_hi + est.delta_sum_hi + est.tail_hi
+        assert -est.radius <= lo and hi <= est.radius
+        assert 0 < max(hi, -lo) <= est.radius
 
 
 class TestAcmRemainder:

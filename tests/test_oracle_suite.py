@@ -1,11 +1,16 @@
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from flagbound.errors import ValidationError
+from flagbound import _backend, oracle_suite
+from flagbound.errors import IdentityViolationError, ValidationError
+from flagbound.exact_arith import RationalInterval
 from flagbound.hilbert_profiles import DeltaSequence, HilbertProfile
-from flagbound.lemma_engine import LemmaInput
+from flagbound.lemma_engine import LemmaInput, TermEstimates
 from flagbound.oracle_suite import (
     oracle_envelope_scan,
     oracle_lemma_chain,
@@ -15,6 +20,49 @@ from flagbound.oracle_suite import (
     verify_all,
 )
 from flagbound.sampling import random_lemma_input
+
+
+def reference_envelope_scan(r_max, s_max):
+    """The envelope scan on Fraction intervals, one case at a time.
+
+    Each piece of R gets its RationalInterval from the bounds stated in
+    term_estimate_intervals' docstring; returns (cases, violations,
+    tightest ratio, its first witness).
+    """
+    cases = 0
+    violations = []
+    tightest = Fraction(-1)
+    witness = (0, 0)
+    for r in range(4, r_max + 1):
+        for s in range(r - 1, s_max + 1):
+            rm2 = r - 2
+            epsilon_term = RationalInterval(Fraction(-s * s, 2 * rm2), Fraction(s + 1, 2))
+            point_sum = RationalInterval(0, Fraction(s**3, 3 * rm2 * rm2))
+            delta_sum = RationalInterval(0, Fraction(s * s * (s - 1), 2 * rm2))
+            tail = RationalInterval(0, Fraction(s**3, 2 * rm2 * rm2))
+            aggregate = RationalInterval(
+                epsilon_term.lo - point_sum.hi,
+                epsilon_term.hi + delta_sum.hi + tail.hi,
+            )
+            radius = Fraction(s**3, rm2)
+            cases += 1
+            if not (-radius <= aggregate.lo and aggregate.hi <= radius):
+                violations.append((r, s))
+            ratio = max(aggregate.hi, -aggregate.lo) / radius
+            if ratio > tightest:
+                tightest = ratio
+                witness = (r, s)
+    return cases, tuple(violations), tightest, witness
+
+
+def fake_estimates(monkeypatch, table):
+    """Make the scan read its per-case numerators from table[(r, s)]."""
+
+    def estimates(r, s):
+        lo, hi, radius = table[(r, s)]
+        return TermEstimates(1, lo, hi, 0, 0, 0, radius)
+
+    monkeypatch.setattr(oracle_suite, "term_estimate_intervals", estimates)
 
 
 class TestDeficiencyOracles:
@@ -28,6 +76,29 @@ class TestDeficiencyOracles:
         assert oracle_weighted_deficiency_sum(5, 7) == 0
         assert oracle_weighted_deficiency_sum(3, 5) == 4
         assert oracle_weighted_deficiency_sum(4, 9) == 8
+
+    @pytest.mark.parametrize(
+        "r,s,direct,message",
+        [
+            (4, 6, 18, None),
+            (4, 6, 19, "weighted deficiency sum 19 exceeds its cap 18 at (r=4, s=6)"),
+            (4, 3, 2, None),
+            (4, 3, 3, "weighted deficiency sum 3 exceeds its cap 9/4 at (r=4, s=3)"),
+        ],
+    )
+    def test_weighted_cap_boundary(self, monkeypatch, r, s, direct, message):
+        # Both sides of the identity agree on `direct`, so only the cap
+        # s^3/(3(r-2)^2) decides.
+        monkeypatch.setattr(_backend, "weighted_deficiency_sum", lambda s, m: direct)
+        monkeypatch.setattr(
+            oracle_suite, "split_w_v", lambda s, r: SimpleNamespace(quotient=2, remainder=direct)
+        )
+        if message is None:
+            assert oracle_weighted_deficiency_sum(r, s) == direct
+        else:
+            with pytest.raises(IdentityViolationError) as exc:
+                oracle_weighted_deficiency_sum(r, s)
+            assert str(exc.value) == message
 
     def test_validation(self):
         with pytest.raises(ValidationError):
@@ -106,6 +177,41 @@ class TestEnvelopeScan:
             oracle_envelope_scan(3, 10)
         with pytest.raises(ValidationError):
             oracle_envelope_scan(4, 1)
+
+    @given(st.integers(min_value=4, max_value=12), st.integers(min_value=3, max_value=300))
+    @settings(max_examples=25, deadline=None)
+    def test_matches_fraction_reference(self, r_max, s_max):
+        report = oracle_envelope_scan(r_max, s_max)
+        assert (
+            report.cases,
+            report.violations,
+            report.tightest_ratio,
+            report.tightest_witness,
+        ) == reference_envelope_scan(r_max, s_max)
+
+    @pytest.mark.parametrize("lo,hi", [(-10, 3), (-1, 10), (-10, 10)])
+    def test_touching_is_inside(self, monkeypatch, lo, hi):
+        fake_estimates(monkeypatch, {(4, 3): (lo, hi, 10)})
+        report = oracle_envelope_scan(4, 3)
+        assert report.violations == ()
+        assert report.tightest_ratio == 1
+        assert report.tightest_witness == (4, 3)
+
+    @pytest.mark.parametrize("lo,hi", [(-11, 3), (-1, 11)])
+    def test_one_unit_outside_is_a_violation(self, monkeypatch, lo, hi):
+        fake_estimates(monkeypatch, {(4, 3): (-1, 1, 10), (4, 4): (lo, hi, 10)})
+        report = oracle_envelope_scan(4, 4)
+        assert report.violations == ((4, 4),)
+        assert report.tightest_ratio == Fraction(11, 10)
+        assert report.tightest_witness == (4, 4)
+
+    def test_first_witness_wins_ties(self, monkeypatch):
+        # 3/10 and 6/20 are the same ratio on different numerators.
+        fake_estimates(monkeypatch, {(4, 3): (-1, 3, 10), (4, 4): (-2, 6, 20), (4, 5): (0, 1, 10)})
+        report = oracle_envelope_scan(4, 5)
+        assert report.violations == ()
+        assert report.tightest_ratio == Fraction(3, 10)
+        assert report.tightest_witness == (4, 3)
 
     def test_to_dict(self):
         doc = oracle_envelope_scan(4, 3).to_dict()
