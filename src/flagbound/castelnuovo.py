@@ -14,10 +14,9 @@ agree everywhere; oracle_suite re-proves that on a grid at every verify run.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import comb
 
 from .errors import ValidationError
-from .exact_arith import binomial
 
 
 def min_point_hilbert(N: int, deg: int, i: int) -> int:
@@ -42,16 +41,5 @@ def castelnuovo_bound(N: int, deg: int) -> int:
     if deg < N:
         raise ValidationError(f"nondegenerate curves need deg >= N, got deg={deg}, N={N}")
     m, eps = divmod(deg - 1, N - 1)
-    return binomial(m, 2) * (N - 1) + m * eps
+    return comb(m, 2) * (N - 1) + m * eps
 
-
-def quadratic_envelope(s: int, r: int) -> Fraction:
-    """s**2 / (2*(r-2)): the quadratic upper envelope of castelnuovo_bound(r-1, s).
-
-    castelnuovo_bound(r-1, s) <= s**2 / (2*(r-2)) for every s >= r - 2 >= 1.
-    """
-    if r < 3:
-        raise ValidationError(f"ambient dimension r must be >= 3, got {r}")
-    if s < 1:
-        raise ValidationError(f"section degree s must be >= 1, got {s}")
-    return Fraction(s * s, 2 * (r - 2))

@@ -11,6 +11,7 @@ input), 2 identity or envelope violation, 3 undecided exact comparison.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -369,7 +370,11 @@ def _add_op(sub, op: str, func, options: argparse.ArgumentParser, help: str) -> 
     p.set_defaults(func=func)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    # Built on the first main() call and kept: parse_args returns a fresh
+    # Namespace each time, and the _cmd_* functions look up the layer
+    # functions when called, so nothing of one call reaches the next.
     plain = _options(digits=False)
     rendered = _options(digits=True)
     rendered_nested = _options(digits=True, nested=True)

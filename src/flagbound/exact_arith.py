@@ -4,7 +4,8 @@ Everything downstream (genus bounds, remainder envelopes, hypothesis
 thresholds) is computed over Fraction, never floats.  This module adds the
 three pieces the standard library lacks:
 
-* a binomial with the n < k convention used by genus formulas,
+* exact rational text (format_rational, parse_rational) and closed
+  intervals (RationalInterval),
 * floor integer n-th roots (exactness flagged), and
 * RadicalProduct, a positive number of the shape
   scalar * b1^(1/e1) * ... * bk^(1/ek), with an exact three-way comparison
@@ -41,18 +42,6 @@ _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/([1-9]\d*))?$")
 def digit_budget() -> int:
     """The digit budget of exact radical powering, DIGIT_BUDGET."""
     return DIGIT_BUDGET
-
-
-def binomial(n: int, k: int) -> int:
-    """C(n, k) with C(n, k) = 0 whenever n < k (including negative n).
-
-    binomial(4, 2) == 6, binomial(1, 2) == 0, binomial(-1, 0) == 0.
-    """
-    if k < 0:
-        raise ValidationError(f"binomial requires k >= 0, got k={k}")
-    if n < k:
-        return 0
-    return math.comb(n, k)
 
 
 def format_rational(value: Fraction | int) -> str:

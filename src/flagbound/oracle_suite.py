@@ -17,15 +17,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from . import _backend
 from .castelnuovo import castelnuovo_bound
 from .errors import IdentityViolationError, ValidationError
-from .euclid_forms import split_w_v
 from .exact_arith import (
     Comparison,
     RadicalProduct,
-    binomial,
     compare_radical_enclosure,
     compare_radical_exact,
     format_rational,
@@ -51,16 +50,18 @@ from .sampling import (
 def oracle_point_deficiency_sum(r: int, s: int) -> int:
     """sum_{i>=1} (s - min(s, i(r-2)+1)) vs the closed form C(w,2)(r-2) + w*v.
 
-    Both sides computed independently; raises IdentityViolationError on any
-    mismatch and returns the common value otherwise.
+    s - 1 = w(r-2) + v with 0 <= v < r-2; r >= 3 and s >= r-1 make w >= 1,
+    where math.comb already gives C(w, k) = 0 for w < k.  Both sides computed
+    independently; raises IdentityViolationError on any mismatch and
+    returns the common value otherwise.
     """
     if r < 3:
         raise ValidationError(f"ambient dimension r must be >= 3, got {r}")
     if s < r - 1:
         raise ValidationError(f"need s >= r-1 = {r - 1}, got {s}")
     direct = _backend.deficiency_sum(s, r - 2)
-    form = split_w_v(s, r)
-    closed = binomial(form.quotient, 2) * (r - 2) + form.quotient * form.remainder
+    w, v = divmod(s - 1, r - 2)
+    closed = comb(w, 2) * (r - 2) + w * v
     if direct != closed:
         raise IdentityViolationError(
             f"point deficiency sum mismatch at (r={r}, s={s}): "
@@ -71,15 +72,17 @@ def oracle_point_deficiency_sum(r: int, s: int) -> int:
 
 def oracle_weighted_deficiency_sum(r: int, s: int) -> int:
     """sum (i-1)(s - min(s, i(r-2)+1)) vs C(w,3)(r-2) + C(w,2)v, plus the
-    cubic cap s^3/(3(r-2)^2)."""
+    cubic cap s^3/(3(r-2)^2).
+
+    w, v as in oracle_point_deficiency_sum: s - 1 = w(r-2) + v, w >= 1.
+    """
     if r < 3:
         raise ValidationError(f"ambient dimension r must be >= 3, got {r}")
     if s < r - 1:
         raise ValidationError(f"need s >= r-1 = {r - 1}, got {s}")
     direct = _backend.weighted_deficiency_sum(s, r - 2)
-    form = split_w_v(s, r)
-    w, v = form.quotient, form.remainder
-    closed = binomial(w, 3) * (r - 2) + binomial(w, 2) * v
+    w, v = divmod(s - 1, r - 2)
+    closed = comb(w, 3) * (r - 2) + comb(w, 2) * v
     if direct != closed:
         raise IdentityViolationError(
             f"weighted deficiency sum mismatch at (r={r}, s={s}): "

@@ -1,10 +1,8 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flagbound.castelnuovo import castelnuovo_bound, min_point_hilbert, quadratic_envelope
+from flagbound.castelnuovo import castelnuovo_bound, min_point_hilbert
 from flagbound.errors import ValidationError
 
 
@@ -83,18 +81,8 @@ class TestMinPointHilbert:
 
 
 class TestQuadraticEnvelope:
-    def test_values(self):
-        assert quadratic_envelope(7, 5) == Fraction(49, 6)
-        assert quadratic_envelope(3, 4) == Fraction(9, 4)
-
     def test_dominates_bound(self):
         # castelnuovo_bound(r-1, s) <= s^2/(2(r-2)) on the working grid
         for r in range(3, 11):
             for s in range(r - 1, 120):
-                assert castelnuovo_bound(r - 1, s) <= quadratic_envelope(s, r)
-
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            quadratic_envelope(5, 2)
-        with pytest.raises(ValidationError):
-            quadratic_envelope(0, 4)
+                assert 2 * (r - 2) * castelnuovo_bound(r - 1, s) <= s * s

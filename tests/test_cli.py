@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flagbound import cli
 from flagbound.cli import main
 from flagbound.exact_arith import Comparison, parse_rational
 
@@ -254,6 +255,52 @@ class TestVerify:
         assert code == 1
         assert out == ""
         assert message in err
+
+
+class TestOneParser:
+    """main() builds its parser once per process; no call sees another's."""
+
+    def test_calls_match_a_fresh_parser(self, tmp_path, capsys, monkeypatch):
+        chunk = tmp_path / "chunk.ndjson"
+        chunk.write_text(
+            "\n".join(
+                [
+                    SPECIALITY_LINE,
+                    json.dumps({"op": "castelnuovo", "N": 5, "deg": 1000}),
+                    json.dumps({"op": "corollary", "r": 4, "d": 471, "s": 3, "pi": 1}),
+                    json.dumps({"op": "flag", "r": 5, "degrees": [1000, 10]}),
+                    json.dumps({"op": "castelnuovo", "N": 1}),
+                ]
+            )
+            + "\n"
+        )
+        verify = (*TestVerify.ARGS, "--format", "json")
+        calls = [
+            verify,
+            verify,
+            ("batch", "--input", str(chunk)),
+            ("hypotheses", "--digits", "5", "corollary", "4", "471", "3"),
+            ("hypotheses", "corollary", "4", "471", "3"),
+            ("hypotheses", "flag", "--format", "json", "5", "1000", "10"),
+            ("castelnuovo", "x", "5"),
+            ("castelnuovo", "5", "1000"),
+        ]
+        cli._build_parser.cache_clear()
+        cached = [run(capsys, *argv) for argv in calls]
+        info = cli._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, len(calls) - 1)
+
+        monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+        fresh = [run(capsys, *argv) for argv in calls]
+        assert cached == fresh
+
+        assert cached[0][1] == cached[1][1]
+        assert json.loads(cached[0][1])["passed"] is True
+        assert "(approx 470.30)" in cached[3][1]
+        assert "(approx 470.30203061437019485)" in cached[4][1]
+        assert cached[6][0] == 1
+        assert cached[6][2] == "error: argument N: invalid int value: 'x'\n"
+        assert cached[7] == (0, "bound = 124251\n", "")
 
 
 class TestBatch:

@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 
 import pytest
@@ -11,7 +10,6 @@ from flagbound.exact_arith import (
     Comparison,
     RadicalProduct,
     RationalInterval,
-    binomial,
     compare_radical,
     compare_radical_enclosure,
     compare_radical_exact,
@@ -21,33 +19,6 @@ from flagbound.exact_arith import (
     integer_nth_root,
     parse_rational,
 )
-
-
-class TestBinomial:
-    def test_values(self):
-        assert binomial(4, 2) == 6
-        assert binomial(0, 0) == 1
-        assert binomial(5, 0) == 1
-        assert binomial(5, 5) == 1
-
-    def test_n_below_k_is_zero(self):
-        assert binomial(1, 2) == 0
-        assert binomial(0, 3) == 0
-        assert binomial(-1, 0) == 0
-        assert binomial(-5, 2) == 0
-
-    def test_negative_k_rejected(self):
-        with pytest.raises(ValidationError):
-            binomial(4, -1)
-
-    @given(st.integers(min_value=0, max_value=200), st.integers(min_value=0, max_value=200))
-    def test_matches_math_comb(self, n, k):
-        expected = math.comb(n, k) if n >= k else 0
-        assert binomial(n, k) == expected
-
-    @given(st.integers(min_value=1, max_value=120), st.integers(min_value=1, max_value=120))
-    def test_pascal_rule(self, n, k):
-        assert binomial(n, k) == binomial(n - 1, k - 1) + binomial(n - 1, k)
 
 
 class TestRationalFormat:

@@ -1,6 +1,6 @@
+import math
 import random
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from flagbound import _backend, oracle_suite
 from flagbound.errors import IdentityViolationError, ValidationError
+from flagbound.euclid_forms import split_w_v
 from flagbound.exact_arith import RationalInterval
 from flagbound.hilbert_profiles import DeltaSequence, HilbertProfile
 from flagbound.lemma_engine import LemmaInput, TermEstimates
@@ -55,6 +56,59 @@ def reference_envelope_scan(r_max, s_max):
     return cases, tuple(violations), tightest, witness
 
 
+def reference_binomial(n, k):
+    """C(n, k) with C(n, k) = 0 whenever n < k, the genus-formula convention."""
+    return math.comb(n, k) if n >= k else 0
+
+
+def reference_point_deficiency_sum(r, s):
+    """The point oracle on a DivisionForm and the n < k binomial."""
+    if r < 3:
+        raise ValidationError(f"ambient dimension r must be >= 3, got {r}")
+    if s < r - 1:
+        raise ValidationError(f"need s >= r-1 = {r - 1}, got {s}")
+    direct = _backend.deficiency_sum(s, r - 2)
+    form = split_w_v(s, r)
+    closed = reference_binomial(form.quotient, 2) * (r - 2) + form.quotient * form.remainder
+    if direct != closed:
+        raise IdentityViolationError(
+            f"point deficiency sum mismatch at (r={r}, s={s}): "
+            f"direct {direct} vs closed {closed}"
+        )
+    return direct
+
+
+def reference_weighted_deficiency_sum(r, s):
+    """The weighted oracle on a DivisionForm and the n < k binomial."""
+    if r < 3:
+        raise ValidationError(f"ambient dimension r must be >= 3, got {r}")
+    if s < r - 1:
+        raise ValidationError(f"need s >= r-1 = {r - 1}, got {s}")
+    direct = _backend.weighted_deficiency_sum(s, r - 2)
+    form = split_w_v(s, r)
+    w, v = form.quotient, form.remainder
+    closed = reference_binomial(w, 3) * (r - 2) + reference_binomial(w, 2) * v
+    if direct != closed:
+        raise IdentityViolationError(
+            f"weighted deficiency sum mismatch at (r={r}, s={s}): "
+            f"direct {direct} vs closed {closed}"
+        )
+    cap = Fraction(s**3, 3 * (r - 2) ** 2)
+    if direct > cap:
+        raise IdentityViolationError(
+            f"weighted deficiency sum {direct} exceeds its cap {cap} at (r={r}, s={s})"
+        )
+    return direct
+
+
+def outcome(oracle, r, s):
+    """What one oracle call gives: its value, or its error's type and message."""
+    try:
+        return oracle(r, s)
+    except (ValidationError, IdentityViolationError) as exc:
+        return type(exc), str(exc)
+
+
 def fake_estimates(monkeypatch, table):
     """Make the scan read its per-case numerators from table[(r, s)]."""
 
@@ -90,8 +144,9 @@ class TestDeficiencyOracles:
         # Both sides of the identity agree on `direct`, so only the cap
         # s^3/(3(r-2)^2) decides.
         monkeypatch.setattr(_backend, "weighted_deficiency_sum", lambda s, m: direct)
+        # C(w,3)(r-2) + C(w,2)v with C(w,3) = direct/(r-2) and C(w,2) = 0
         monkeypatch.setattr(
-            oracle_suite, "split_w_v", lambda s, r: SimpleNamespace(quotient=2, remainder=direct)
+            oracle_suite, "comb", lambda n, k: Fraction(direct, r - 2) if k == 3 else 0
         )
         if message is None:
             assert oracle_weighted_deficiency_sum(r, s) == direct
@@ -99,6 +154,23 @@ class TestDeficiencyOracles:
             with pytest.raises(IdentityViolationError) as exc:
                 oracle_weighted_deficiency_sum(r, s)
             assert str(exc.value) == message
+
+    @pytest.mark.parametrize("offset", [0, 1])
+    def test_match_the_division_form_reference(self, monkeypatch, offset):
+        # offset 1 moves each direct sum one off, so every case takes the
+        # mismatch path and the two messages are compared
+        if offset:
+            for name in ("deficiency_sum", "weighted_deficiency_sum"):
+                kernel = getattr(_backend, name)
+                monkeypatch.setattr(_backend, name, lambda s, m, k=kernel: k(s, m) + offset)
+        pairs = [
+            (oracle_point_deficiency_sum, reference_point_deficiency_sum),
+            (oracle_weighted_deficiency_sum, reference_weighted_deficiency_sum),
+        ]
+        for r in range(3, 13):
+            for s in range(0, 301):
+                for oracle, reference in pairs:
+                    assert outcome(oracle, r, s) == outcome(reference, r, s), (oracle, r, s)
 
     def test_validation(self):
         with pytest.raises(ValidationError):
