@@ -16,12 +16,7 @@ import json
 import sys
 
 from .castelnuovo import castelnuovo_bound
-from .errors import (
-    FlagboundError,
-    IdentityViolationError,
-    UndecidedComparisonError,
-    ValidationError,
-)
+from .errors import FlagboundError, IdentityViolationError, ValidationError
 from .exact_arith import format_rational
 from .fields import INT, INTS, OBJECT, read_fields
 from .flag_recurrence import (
@@ -431,9 +426,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UndecidedComparisonError as exc:
-        print(f"undecided: {exc}", file=sys.stderr)
-        return 3
     except IdentityViolationError as exc:
         print(f"identity violation: {exc}", file=sys.stderr)
         return 2

@@ -2,8 +2,8 @@
 
 Every error the package raises on purpose derives from FlagboundError, so
 callers can catch one type.  The CLI maps these onto exit codes: validation
-problems (including unmet hypotheses) exit 1, violated identities or
-envelopes exit 2, undecided exact comparisons exit 3.
+problems exit 1, violated identities exit 2.  An undecided hypothesis
+verdict is reported, not raised; the CLI gives it exit code 3.
 """
 
 
@@ -23,10 +23,6 @@ class InconsistencyError(ValidationError):
     """
 
 
-class HypothesisFailureError(ValidationError):
-    """A degree or separation hypothesis required by an operation fails."""
-
-
 class IdentityViolationError(FlagboundError):
     """Two independently computed routes disagree.
 
@@ -34,10 +30,3 @@ class IdentityViolationError(FlagboundError):
     defective and the offending witness is in the message.
     """
 
-
-class UndecidedComparisonError(FlagboundError):
-    """An exact comparison could not be certified either way.
-
-    Only the enclosure fallback can produce this, and only when the digit
-    budget rules out exact powering and the enclosure straddles the value.
-    """

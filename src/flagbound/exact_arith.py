@@ -4,8 +4,8 @@ Everything downstream (genus bounds, remainder envelopes, hypothesis
 thresholds) is computed over Fraction, never floats.  This module adds the
 three pieces the standard library lacks:
 
-* exact rational text (format_rational, parse_rational) and closed
-  intervals (RationalInterval),
+* exact rational text (format_rational) and closed intervals
+  (RationalInterval),
 * floor integer n-th roots (exactness flagged), and
 * RadicalProduct, a positive number of the shape
   scalar * b1^(1/e1) * ... * bk^(1/ek), with an exact three-way comparison
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import decimal
 import math
-import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -36,16 +35,13 @@ FALLBACK_ENCLOSURE_DIGITS = 200
 
 _LOG10_2 = math.log10(2)
 
-_RATIONAL_RE = re.compile(r"^(-?\d+)(?:/([1-9]\d*))?$")
-
-
 def digit_budget() -> int:
     """The digit budget of exact radical powering, DIGIT_BUDGET."""
     return DIGIT_BUDGET
 
 
 def format_rational(value: Fraction | int) -> str:
-    """Render as 'p/q', or just 'p' for integers.  Inverse of parse_rational."""
+    """Render as 'p/q', or just 'p' for integers; Fraction(text) reads it back."""
     if type(value) is int:
         return str(value)
     if type(value) is not Fraction:
@@ -53,16 +49,6 @@ def format_rational(value: Fraction | int) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
-
-
-def parse_rational(text: str) -> Fraction:
-    """Parse 'p/q' or 'p'.  Decimal points and exponents are rejected."""
-    match = _RATIONAL_RE.match(text.strip())
-    if match is None:
-        raise ValidationError(f"not a rational in p/q form: {text!r}")
-    num = int(match.group(1))
-    den = match.group(2)
-    return Fraction(num, int(den)) if den else Fraction(num)
 
 
 def fraction_approx(value: Fraction, digits: int = 20) -> str:
@@ -132,11 +118,6 @@ class RationalInterval:
         if self.lo > self.hi:
             raise ValidationError(f"empty interval: lo={self.lo} > hi={self.hi}")
 
-    @classmethod
-    def point(cls, value: Fraction | int) -> "RationalInterval":
-        value = Fraction(value)
-        return cls(value, value)
-
     @property
     def width(self) -> Fraction:
         return self.hi - self.lo
@@ -148,12 +129,6 @@ class RationalInterval:
     @property
     def is_point(self) -> bool:
         return self.lo == self.hi
-
-    def contains(self, value: Fraction | int) -> bool:
-        return self.lo <= value <= self.hi
-
-    def contains_interval(self, other: "RationalInterval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
 
     def to_dict(self) -> dict:
         return {"lo": format_rational(self.lo), "hi": format_rational(self.hi)}
@@ -189,21 +164,6 @@ class RadicalProduct:
     @property
     def root_lcm(self) -> int:
         return math.lcm(1, *(root for _, root in self.factors))
-
-    @property
-    def is_rational(self) -> bool:
-        """True when every factor has an integer value (cheap root check)."""
-        return all(integer_nth_root(base, root)[1] for base, root in self.factors)
-
-    def as_fraction(self) -> Fraction:
-        """Exact value, only when is_rational."""
-        value = self.scalar
-        for base, root in self.factors:
-            r, exact = integer_nth_root(base, root)
-            if not exact:
-                raise ValidationError(f"{base}^(1/{root}) is irrational")
-            value *= r
-        return value
 
     def enclosure(self, digits: int = FALLBACK_ENCLOSURE_DIGITS) -> RationalInterval:
         """Directed-rounding enclosure, relative width about 10**-digits."""

@@ -13,25 +13,22 @@ the unknown-R radius.  Nothing tighter than the full +-s_2^3/(r-2) slab is
 claimed at any level.  The fold runs on integer numerators over one common
 denominator; each endpoint becomes a Fraction once, at the end.
 
-The closed corollary bound, its alternative form one degree up, the
-dichotomy comparison between the two, and the speciality bound live here
-as well.
+The closed corollary bound, its alternative form one degree up (the two
+sides of the corollary's dichotomy) and the speciality bound live here as
+well.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 
 from .castelnuovo import castelnuovo_bound
-from .errors import HypothesisFailureError, UndecidedComparisonError, ValidationError
+from .errors import ValidationError
 from .exact_arith import RationalInterval, format_rational
 from .flags import FlagCondition
-from .hypothesis_checker import Verdict, check_corollary_degree, flag_separation_verdict
+from .hypothesis_checker import Verdict, flag_separation_verdict
 from .lemma_engine import quadratic_genus_numerator
-
-GenusInterval = RationalInterval
 
 
 @dataclass(frozen=True)
@@ -45,7 +42,7 @@ class FlagGenusResult:
     """
 
     flag: FlagCondition
-    interval: GenusInterval
+    interval: RationalInterval
     hypotheses_verified: bool
 
     def to_dict(self) -> dict:
@@ -56,7 +53,7 @@ class FlagGenusResult:
         }
 
 
-def _interval(flag: FlagCondition) -> GenusInterval:
+def _interval(flag: FlagCondition) -> RationalInterval:
     """The recursion folded outward from the innermost level, a Castelnuovo
     point; level i (0-based) is the flag (r-i; s_{i+1}, ..., s_l).
 
@@ -76,7 +73,7 @@ def _interval(flag: FlagCondition) -> GenusInterval:
         scale = 2 * m * s1
         lo, hi = scale * lo + offset - radius, scale * hi + offset + radius
         den *= 2 * s2 * m
-    return GenusInterval(Fraction(lo, den), Fraction(hi, den))
+    return RationalInterval(Fraction(lo, den), Fraction(hi, den))
 
 
 def flag_genus_interval(flag: FlagCondition) -> FlagGenusResult:
@@ -113,80 +110,6 @@ def corollary_alternative_bound(r: int, d: int, s: int) -> Fraction:
     if s + 1 < r - 1:
         raise ValidationError(f"need s+1 >= r-1 = {r - 1}, got s={s}")
     return _corollary_form(r, d, s + 1, castelnuovo_bound(r - 1, s + 1))
-
-
-class Regime(Enum):
-    ON_SMALL_SURFACE = "onSmallSurface"
-    NOT_ON_DEGREE_S = "notOnDegreeS"
-
-
-@dataclass(frozen=True)
-class DichotomyReport:
-    """Exact comparison of the two corollary regimes.
-
-    When the alternative bound is strictly smaller, any genus-maximal curve
-    must sit on a surface of degree at most s, so the binding bound is the
-    on-surface one.
-    """
-
-    r: int
-    d: int
-    s: int
-    pi: int
-    binding_bound: Fraction
-    alternative_bound: Fraction
-    alternative_strictly_less: bool
-
-    @property
-    def regime(self) -> Regime:
-        if self.alternative_strictly_less:
-            return Regime.ON_SMALL_SURFACE
-        return Regime.NOT_ON_DEGREE_S
-
-    def to_dict(self) -> dict:
-        return {
-            "r": self.r,
-            "d": self.d,
-            "s": self.s,
-            "pi": self.pi,
-            "regime": self.regime.value,
-            "bindingBound": format_rational(self.binding_bound),
-            "alternativeBound": format_rational(self.alternative_bound),
-            "alternativeStrictlyLess": self.alternative_strictly_less,
-        }
-
-
-def corollary_dichotomy(r: int, d: int, s: int, pi: int) -> DichotomyReport:
-    """Compare the two corollary bounds under the degree hypotheses.
-
-    Raises HypothesisFailureError when the degree conditions fail (the
-    comparison may then legitimately go either way) and
-    UndecidedComparisonError when the radical condition cannot be certified
-    within the digit budget.
-    """
-    degree_report = check_corollary_degree(r, d, s)
-    if degree_report.verdict is Verdict.FAIL:
-        failed = [c.label for c in degree_report.checks if c.verdict is Verdict.FAIL]
-        raise HypothesisFailureError(
-            f"corollary degree hypotheses fail for (r={r}, d={d}, s={s}): "
-            + ", ".join(failed)
-        )
-    if degree_report.verdict is Verdict.UNDECIDED:
-        raise UndecidedComparisonError(
-            f"corollary degree hypotheses undecided for (r={r}, d={d}, s={s}) "
-            "within the digit budget"
-        )
-    binding = corollary_bound(r, d, s, pi)
-    alternative = corollary_alternative_bound(r, d, s)
-    return DichotomyReport(
-        r=r,
-        d=d,
-        s=s,
-        pi=pi,
-        binding_bound=binding,
-        alternative_bound=alternative,
-        alternative_strictly_less=alternative < binding,
-    )
 
 
 def speciality_bound(d: int, s: int, pi: int) -> Fraction:

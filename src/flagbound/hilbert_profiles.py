@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .castelnuovo import min_point_hilbert
 from .errors import InconsistencyError, ValidationError
 from .fields import INT, INTS, read_fields
 
@@ -74,18 +73,6 @@ class HilbertProfile:
     def from_dict(cls, data: object) -> "HilbertProfile":
         stable, values = read_fields(data, _PROFILE_FIELDS, "profile object")
         return cls(stable, tuple(values))
-
-
-def extremal_point_profile(N: int, deg: int) -> HilbertProfile:
-    """Profile of min_point_hilbert(N, deg, .): points spanning P^N in
-    general position grow as fast as min(deg, i*N + 1) forces and no faster.
-    """
-    values = [1]
-    i = 1
-    while values[-1] < deg:
-        values.append(min_point_hilbert(N, deg, i))
-        i += 1
-    return HilbertProfile(deg, tuple(values))
 
 
 def genus_sum(profile: HilbertProfile) -> int:

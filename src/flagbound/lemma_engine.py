@@ -35,7 +35,6 @@ from typing import NamedTuple
 
 from . import _backend
 from .errors import InconsistencyError, ValidationError
-from .euclid_forms import DivisionForm, split_m_epsilon, split_w_v
 from .exact_arith import format_rational
 from .fields import BOOL, INT, INTS, OBJECT, read_fields
 from .hilbert_profiles import (
@@ -101,6 +100,10 @@ class LemmaInput:
     deltas: DeltaSequence = field(default_factory=DeltaSequence)
     tail: tuple[int, ...] = ()
     allow_small_degree: bool = False
+    m: int = field(init=False, repr=False)
+    eps: int = field(init=False, repr=False)
+    w: int = field(init=False, repr=False)
+    v: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tail", tuple(int(t) for t in self.tail))
@@ -112,6 +115,11 @@ class LemmaInput:
             )
         if self.d < 1:
             raise ValidationError(f"degree d must be >= 1, got {self.d}")
+        # d - 1 = m*s + eps and s - 1 = w*(r-2) + v
+        m, eps = divmod(self.d - 1, self.s)
+        w, v = divmod(self.s - 1, self.r - 2)
+        for name, value in (("m", m), ("eps", eps), ("w", w), ("v", v)):
+            object.__setattr__(self, name, value)
         if self.point_profile.stable != self.s:
             raise ValidationError(
                 f"point profile stabilizes at {self.point_profile.stable}, expected s={self.s}"
@@ -128,21 +136,19 @@ class LemmaInput:
             )
         # Truncation window: everything the truncated sum sees must settle
         # by step m, or the closed form provably diverges from the sum.
-        m = self.m_eps.quotient
         if self.point_profile.saturation_index > m:
             raise ValidationError(
                 f"profile saturates at step {self.point_profile.saturation_index} > m={m}"
             )
         if support > m:
             raise ValidationError(f"delta support reaches {support} > m={m}")
-        self._validate_tail(m)
+        self._validate_tail()
         # Forces the InconsistencyError now if deltas overshoot the profile.
         self.pi
 
-    def _validate_tail(self, m: int) -> None:
-        w = self.w_v.quotient
-        if len(self.tail) > w:
-            raise ValidationError(f"tail has {len(self.tail)} entries, window allows {w}")
+    def _validate_tail(self) -> None:
+        if len(self.tail) > self.w:
+            raise ValidationError(f"tail has {len(self.tail)} entries, window allows {self.w}")
         previous = None
         for idx, t in enumerate(self.tail):
             if t < 0:
@@ -153,38 +159,12 @@ class LemmaInput:
                 )
             previous = t
         if self.tail:
-            head_cap = self.m_eps.remainder + self.pi  # d - h(m) = eps + pi
+            head_cap = self.eps + self.pi  # d - h(m) = eps + pi
             if self.tail[0] > head_cap:
                 raise ValidationError(
                     f"tail head {self.tail[0]} exceeds the step-m deficiency {head_cap}"
                 )
             # at most w nonincreasing entries, head <= head_cap: total <= w * head_cap
-
-    @cached_property
-    def m_eps(self) -> DivisionForm:
-        """d - 1 = m*s + eps."""
-        return split_m_epsilon(self.d, self.s)
-
-    @cached_property
-    def w_v(self) -> DivisionForm:
-        """s - 1 = w*(r-2) + v."""
-        return split_w_v(self.s, self.r)
-
-    @property
-    def m(self) -> int:
-        return self.m_eps.quotient
-
-    @property
-    def eps(self) -> int:
-        return self.m_eps.remainder
-
-    @property
-    def w(self) -> int:
-        return self.w_v.quotient
-
-    @property
-    def v(self) -> int:
-        return self.w_v.remainder
 
     @cached_property
     def pi(self) -> int:

@@ -29,7 +29,12 @@ from .exact_arith import (
     compare_radical_exact,
     format_rational,
 )
-from .flag_recurrence import corollary_dichotomy, flag_genus_interval
+from .flag_recurrence import (
+    corollary_alternative_bound,
+    corollary_bound,
+    flag_genus_interval,
+)
+from .hilbert_profiles import accumulate_surface_section
 from .hypothesis_checker import check_lemma_degree
 from .lemma_engine import (
     LemmaInput,
@@ -137,9 +142,10 @@ def oracle_lemma_chain(inp: LemmaInput) -> LemmaChainResult:
         raise ValidationError(
             f"chain oracle needs m >= s-r+2 = {s - inp.r + 2}, got m={m}"
         )
-    left, _ = _backend.truncated_section_sum(
-        inp.d, m, list(inp.point_profile.values), list(inp.deltas.values)
-    )
+    # h1 from its definition, not through the summation kernel that
+    # genus_from_lemma_input uses
+    h1 = accumulate_surface_section(inp.point_profile, inp.deltas, m)
+    left = sum(inp.d - h for h in h1[1:])
     span = max(len(inp.point_profile.values) - 1, len(inp.deltas.values))
     correction = sum(
         (i - 1) * (s - inp.point_profile.value(i) - inp.deltas.value(i))
@@ -153,8 +159,6 @@ def oracle_lemma_chain(inp: LemmaInput) -> LemmaChainResult:
 class EnvelopeScanReport:
     """Grid scan of the remainder envelope |aggregate| <= s^3/(r-2)."""
 
-    r_max: int
-    s_max: int
     cases: int
     violations: tuple[tuple[int, int], ...]
     tightest_ratio: Fraction
@@ -163,16 +167,6 @@ class EnvelopeScanReport:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    def to_dict(self) -> dict:
-        return {
-            "rMax": self.r_max,
-            "sMax": self.s_max,
-            "cases": self.cases,
-            "violations": [list(v) for v in self.violations],
-            "tightestRatio": format_rational(self.tightest_ratio),
-            "tightestWitness": list(self.tightest_witness),
-        }
 
 
 def oracle_envelope_scan(r_max: int, s_max: int) -> EnvelopeScanReport:
@@ -204,8 +198,6 @@ def oracle_envelope_scan(r_max: int, s_max: int) -> EnvelopeScanReport:
     if cases == 0:
         raise ValidationError(f"empty scan grid: r_max={r_max}, s_max={s_max}")
     return EnvelopeScanReport(
-        r_max=r_max,
-        s_max=s_max,
         cases=cases,
         violations=tuple(violations),
         tightest_ratio=Fraction(best_reach, best_radius),
@@ -359,9 +351,9 @@ def _scan_corollary_dichotomy(count: int, rng: random.Random) -> ScanRow:
     failures = 0
     detail = ""
     for _ in range(count):
+        # random_corollary_case has already certified the degree hypotheses
         r, d, s, pi = random_corollary_case(rng)
-        report = corollary_dichotomy(r, d, s, pi)
-        if not report.alternative_strictly_less:
+        if not corollary_alternative_bound(r, d, s) < corollary_bound(r, d, s, pi):
             failures += 1
             detail = detail or (
                 f"alternative bound not below the corollary bound at "

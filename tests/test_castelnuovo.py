@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flagbound.castelnuovo import castelnuovo_bound, min_point_hilbert
+from flagbound.castelnuovo import castelnuovo_bound
 from flagbound.errors import ValidationError
 
 
@@ -54,30 +54,6 @@ class TestCastelnuovoBound:
     def test_nondecreasing_in_degree(self, n, data):
         deg = data.draw(st.integers(min_value=n, max_value=300))
         assert castelnuovo_bound(n, deg + 1) >= castelnuovo_bound(n, deg)
-
-
-class TestMinPointHilbert:
-    def test_values(self):
-        assert [min_point_hilbert(3, 7, i) for i in range(4)] == [1, 4, 7, 7]
-        assert [min_point_hilbert(4, 7, i) for i in range(3)] == [1, 5, 7]
-
-    def test_saturation_step(self):
-        # deg - 1 = w*N + v: saturates at w when v == 0, else at w + 1
-        for N in range(2, 7):
-            for deg in range(2, 60):
-                w, v = divmod(deg - 1, N)
-                step = w if v == 0 else w + 1
-                assert min_point_hilbert(N, deg, step) == deg
-                if step > 0:
-                    assert min_point_hilbert(N, deg, step - 1) < deg
-
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            min_point_hilbert(1, 7, 0)
-        with pytest.raises(ValidationError):
-            min_point_hilbert(3, 0, 0)
-        with pytest.raises(ValidationError):
-            min_point_hilbert(3, 7, -1)
 
 
 class TestQuadraticEnvelope:

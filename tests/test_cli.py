@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from flagbound import cli
 from flagbound.cli import main
-from flagbound.exact_arith import Comparison, parse_rational
+from flagbound.exact_arith import Comparison
 
 WORKED_LEMMA = {
     "r": 5,
@@ -65,8 +65,8 @@ class TestFlag:
     def test_json_values_parse_exactly(self, capsys):
         _, out, _ = run(capsys, "flag", "--format", "json", "5", "1000", "10")
         doc = json.loads(out)
-        assert parse_rational(doc["lo"]) == Fraction(149900, 3)
-        assert parse_rational(doc["hi"]) == Fraction(151900, 3)
+        assert Fraction(doc["lo"]) == Fraction(149900, 3)
+        assert Fraction(doc["hi"]) == Fraction(151900, 3)
 
     def test_single_degree_table(self, capsys):
         code, out, _ = run(capsys, "flag", "5", "1000")
@@ -144,8 +144,8 @@ class TestCorollary:
         doc = json.loads(out)
         assert doc["degreeHypotheses"] == "fail"
         assert "alternativeStrictlyLess" not in doc
-        assert parse_rational(doc["bound"]) == Fraction(151900, 3)
-        assert parse_rational(doc["alternativeBound"]) == Fraction(1531141, 33)
+        assert Fraction(doc["bound"]) == Fraction(151900, 3)
+        assert Fraction(doc["alternativeBound"]) == Fraction(1531141, 33)
 
     def test_undecided_maps_to_exit_3(self, capsys, monkeypatch):
         monkeypatch.setattr(

@@ -17,7 +17,6 @@ from flagbound.exact_arith import (
     format_rational,
     fraction_approx,
     integer_nth_root,
-    parse_rational,
 )
 
 
@@ -31,19 +30,9 @@ class TestRationalFormat:
         assert format_rational(10**40) == "1" + "0" * 40
         assert format_rational(Fraction(0)) == "0"
 
-    def test_parse(self):
-        assert parse_rational("3/7") == Fraction(3, 7)
-        assert parse_rational("-12") == Fraction(-12)
-        assert parse_rational(" 149900/3 ") == Fraction(149900, 3)
-
-    @pytest.mark.parametrize("bad", ["", "1.5", "1e3", "3/0", "3/-2", "a/b", "1/2/3"])
-    def test_parse_rejects(self, bad):
-        with pytest.raises(ValidationError):
-            parse_rational(bad)
-
     @given(st.fractions(max_denominator=10**9))
     def test_round_trip(self, q):
-        assert parse_rational(format_rational(q)) == q
+        assert Fraction(format_rational(q)) == q
 
     def test_approx_is_labeled_width(self):
         assert fraction_approx(Fraction(1, 3), 5) == "0.33333"
@@ -81,22 +70,15 @@ class TestRationalInterval:
         box = RationalInterval(Fraction(1, 3), Fraction(1, 2))
         assert box.width == Fraction(1, 6)
         assert box.midpoint == Fraction(5, 12)
-        assert box.contains(Fraction(2, 5))
-        assert not box.contains(1)
         assert not box.is_point
 
     def test_point(self):
-        p = RationalInterval.point(7)
+        p = RationalInterval(7, 7)
         assert p.is_point and p.width == 0
 
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
             RationalInterval(1, 0)
-
-    def test_containment(self):
-        outer = RationalInterval(-2, 2)
-        assert outer.contains_interval(RationalInterval(-1, 2))
-        assert not outer.contains_interval(RationalInterval(-3, 0))
 
     def test_endpoints_become_exact_fractions(self):
         class SubFraction(Fraction):
@@ -129,12 +111,6 @@ class TestRadicalProduct:
         rp = RadicalProduct(Fraction(4), ((24, 2), (24, 1)))
         assert str(rp) == "4 * 24^(1/2) * 24"
         assert str(RadicalProduct(Fraction(2, 3))) == "2/3"
-
-    def test_rational_value(self):
-        rp = RadicalProduct(Fraction(3), ((16, 2),))
-        assert rp.is_rational
-        assert rp.as_fraction() == 12
-        assert not RadicalProduct(Fraction(1), ((24, 2),)).is_rational
 
     def test_enclosure_brackets_value(self):
         rp = RadicalProduct(Fraction(4), ((24, 2), (24, 1)))

@@ -8,7 +8,6 @@ from flagbound.hilbert_profiles import (
     DeltaSequence,
     HilbertProfile,
     accumulate_surface_section,
-    extremal_point_profile,
     genus_sum,
     sectional_genus,
 )
@@ -55,23 +54,26 @@ class TestHilbertProfile:
             HilbertProfile.from_dict({"stable": 7, "values": "xyz1"})
 
 
-class TestExtremalProfile:
-    def test_frozen(self):
-        assert extremal_point_profile(3, 7).values == (1, 4, 7)
-        assert extremal_point_profile(4, 7).values == (1, 5, 7)
-        assert extremal_point_profile(2, 5).values == (1, 3, 5)
-        assert extremal_point_profile(5, 1).values == (1,)
+def least_point_profile(N, deg):
+    """The Hilbert function min(deg, i*N + 1) of deg points spanning P^N in
+    general position, up to saturation."""
+    values = [1]
+    while values[-1] < deg:
+        values.append(min(deg, len(values) * N + 1))
+    return HilbertProfile(deg, tuple(values))
 
+
+class TestExtremalProfile:
     def test_genus_sum_matches_castelnuovo(self):
         # points in P^N cut from a curve in P^(N+1)
-        assert genus_sum(extremal_point_profile(3, 7)) == 3 == castelnuovo_bound(4, 7)
-        assert genus_sum(extremal_point_profile(4, 7)) == 2 == castelnuovo_bound(5, 7)
+        assert genus_sum(HilbertProfile(7, (1, 4, 7))) == 3 == castelnuovo_bound(4, 7)
+        assert genus_sum(HilbertProfile(7, (1, 5, 7))) == 2 == castelnuovo_bound(5, 7)
 
     @given(st.integers(min_value=2, max_value=8), st.data())
     @settings(max_examples=120)
     def test_genus_sum_equals_bound_one_up(self, n, data):
         deg = data.draw(st.integers(min_value=n + 1, max_value=250))
-        assert genus_sum(extremal_point_profile(n, deg)) == castelnuovo_bound(n + 1, deg)
+        assert genus_sum(least_point_profile(n, deg)) == castelnuovo_bound(n + 1, deg)
 
 
 class TestDeltaSequence:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from flagbound import _backend, oracle_suite
 from flagbound.errors import IdentityViolationError, ValidationError
-from flagbound.euclid_forms import split_w_v
 from flagbound.exact_arith import RationalInterval
 from flagbound.hilbert_profiles import DeltaSequence, HilbertProfile
 from flagbound.lemma_engine import LemmaInput, TermEstimates
@@ -62,14 +61,14 @@ def reference_binomial(n, k):
 
 
 def reference_point_deficiency_sum(r, s):
-    """The point oracle on a DivisionForm and the n < k binomial."""
+    """The point oracle on divmod and the n < k binomial."""
     if r < 3:
         raise ValidationError(f"ambient dimension r must be >= 3, got {r}")
     if s < r - 1:
         raise ValidationError(f"need s >= r-1 = {r - 1}, got {s}")
     direct = _backend.deficiency_sum(s, r - 2)
-    form = split_w_v(s, r)
-    closed = reference_binomial(form.quotient, 2) * (r - 2) + form.quotient * form.remainder
+    w, v = divmod(s - 1, r - 2)
+    closed = reference_binomial(w, 2) * (r - 2) + w * v
     if direct != closed:
         raise IdentityViolationError(
             f"point deficiency sum mismatch at (r={r}, s={s}): "
@@ -79,14 +78,13 @@ def reference_point_deficiency_sum(r, s):
 
 
 def reference_weighted_deficiency_sum(r, s):
-    """The weighted oracle on a DivisionForm and the n < k binomial."""
+    """The weighted oracle on divmod and the n < k binomial."""
     if r < 3:
         raise ValidationError(f"ambient dimension r must be >= 3, got {r}")
     if s < r - 1:
         raise ValidationError(f"need s >= r-1 = {r - 1}, got {s}")
     direct = _backend.weighted_deficiency_sum(s, r - 2)
-    form = split_w_v(s, r)
-    w, v = form.quotient, form.remainder
+    w, v = divmod(s - 1, r - 2)
     closed = reference_binomial(w, 3) * (r - 2) + reference_binomial(w, 2) * v
     if direct != closed:
         raise IdentityViolationError(
@@ -284,13 +282,6 @@ class TestEnvelopeScan:
         assert report.violations == ()
         assert report.tightest_ratio == Fraction(3, 10)
         assert report.tightest_witness == (4, 3)
-
-    def test_to_dict(self):
-        doc = oracle_envelope_scan(4, 3).to_dict()
-        assert doc["cases"] == 1
-        assert doc["violations"] == []
-        assert doc["tightestRatio"] == "79/108"
-
 
 class TestVerifyAll:
     def test_small_battery_passes(self):
