@@ -1,62 +1,32 @@
-import pytest
+"""The two Euclidean divisions of the lemma, d - 1 = m*s + eps and
+s - 1 = w*(r-2) + v, as LemmaInput computes them."""
+
 from hypothesis import given
 from hypothesis import strategies as st
 
-from flagbound.errors import ValidationError
-from flagbound.euclid_forms import DividendLabel, DivisionForm, split_m_epsilon, split_w_v
+from flagbound.hilbert_profiles import HilbertProfile
+from flagbound.lemma_engine import LemmaInput
 
 
-def test_split_m_epsilon_examples():
-    form = split_m_epsilon(50, 7)
-    assert (form.quotient, form.remainder, form.modulus) == (7, 0, 7)
-    assert form.label is DividendLabel.DEGREE_D
-    assert form.dividend == 50
-
-    form = split_m_epsilon(1000, 10)
-    assert (form.quotient, form.remainder) == (99, 9)
-
-    # d=1 is allowed: m=0, eps=0
-    form = split_m_epsilon(1, 5)
-    assert (form.quotient, form.remainder) == (0, 0)
+def _lemma_input(r, d, s):
+    # the profile saturates at step 1 <= m
+    return LemmaInput(
+        r=r, d=d, s=s, point_profile=HilbertProfile(s, (1, s)), allow_small_degree=True
+    )
 
 
-def test_split_w_v_examples():
-    form = split_w_v(7, 5)
-    assert (form.quotient, form.remainder, form.modulus) == (2, 0, 3)
-    assert form.label is DividendLabel.DEGREE_S
-    assert form.dividend == 7
-
-    assert (split_w_v(3, 4).quotient, split_w_v(3, 4).remainder) == (1, 0)
-    assert (split_w_v(9, 4).quotient, split_w_v(9, 4).remainder) == (4, 0)
-    assert (split_w_v(5, 3).quotient, split_w_v(5, 3).remainder) == (4, 0)
+@given(st.integers(min_value=3, max_value=1000), st.data())
+def test_m_epsilon_reconstruction(r, data):
+    s = data.draw(st.integers(min_value=r - 1, max_value=10**6))
+    d = data.draw(st.integers(min_value=s + 1, max_value=10**9))
+    inp = _lemma_input(r, d, s)
+    assert 0 <= inp.eps < s
+    assert d - 1 == inp.m * s + inp.eps
 
 
-def test_validation():
-    with pytest.raises(ValidationError):
-        split_m_epsilon(0, 5)
-    with pytest.raises(ValidationError):
-        split_m_epsilon(5, 0)
-    with pytest.raises(ValidationError):
-        split_w_v(5, 2)
-    with pytest.raises(ValidationError):
-        DivisionForm(DividendLabel.DEGREE_D, 2, 7, 7)
-    with pytest.raises(ValidationError):
-        DivisionForm(DividendLabel.DEGREE_D, -1, 0, 7)
-    with pytest.raises(ValidationError):
-        DivisionForm(DividendLabel.DEGREE_S, 1, 0, 0)
-
-
-@given(st.integers(min_value=1, max_value=10**9), st.integers(min_value=1, max_value=10**6))
-def test_m_epsilon_reconstruction(d, s):
-    form = split_m_epsilon(d, s)
-    assert form.dividend == d
-    assert 0 <= form.remainder < s
-    assert d - 1 == form.quotient * s + form.remainder
-
-
-@given(st.integers(min_value=1, max_value=10**9), st.integers(min_value=3, max_value=1000))
-def test_w_v_reconstruction(s, r):
-    form = split_w_v(s, r)
-    assert form.dividend == s
-    assert 0 <= form.remainder < r - 2
-    assert s - 1 == form.quotient * (r - 2) + form.remainder
+@given(st.integers(min_value=3, max_value=1000), st.data())
+def test_w_v_reconstruction(r, data):
+    s = data.draw(st.integers(min_value=r - 1, max_value=10**6))
+    inp = _lemma_input(r, s + 1, s)
+    assert 0 <= inp.v < r - 2
+    assert s - 1 == inp.w * (r - 2) + inp.v

@@ -61,17 +61,6 @@ class TestLemmaInput:
         assert (WORKED.w, WORKED.v) == (2, 0)
         assert WORKED.pi == 3
 
-    @given(st.integers(min_value=3, max_value=1000), st.data())
-    def test_divisions_reconstruct(self, r, data):
-        s = data.draw(st.integers(min_value=r - 1, max_value=10**6))
-        d = data.draw(st.integers(min_value=s + 1, max_value=10**9))
-        # the profile saturates at step 1 <= m
-        inp = LemmaInput(
-            r=r, d=d, s=s, point_profile=HilbertProfile(s, (1, s)), allow_small_degree=True
-        )
-        assert d - 1 == inp.m * s + inp.eps and 0 <= inp.eps < s
-        assert s - 1 == inp.w * (r - 2) + inp.v and 0 <= inp.v < r - 2
-
     def test_delta_variant_lowers_pi(self):
         assert WORKED_DELTA.pi == 2
 
