@@ -7,13 +7,13 @@ three pieces the standard library lacks:
 * exact rational text (format_rational) and closed intervals
   (RationalInterval),
 * floor integer n-th roots (exactness flagged), and
-* RadicalProduct, a positive number of the shape
-  scalar * b1^(1/e1) * ... * bk^(1/ek), with an exact three-way comparison
-  against integers.
+* RadicalThreshold T(m, s) = 2(s+1)/(m-1) * prod_{k=1}^{m-1} B^(1/k), with
+  B = m!(s+1), and an exact three-way comparison of it against integers.
 
-Comparisons are decided by raising both sides to the lcm of the root orders,
-which is exact but can explode; above a digit budget a directed-rounding
-enclosure built from floor roots takes over and may return UNDECIDED.
+Comparisons are decided by raising both sides to L = lcm(1..m-1), which
+raises the one base B to sum L/k; exact, but it can explode.  Above a digit
+budget a directed-rounding enclosure built from floor roots takes over and
+may return UNDECIDED.
 """
 
 from __future__ import annotations
@@ -74,17 +74,20 @@ def integer_nth_root(x: int, n: int) -> tuple[int, bool]:
     if n == 2:
         r = math.isqrt(x)
         return r, r * r == x
-    # Start above the true root, descend; Newton on integers converges to floor.
-    r = 1 << -(-x.bit_length() // n)
-    while True:
-        t = ((n - 1) * r + x // r ** (n - 1)) // n
-        if t >= r:
-            break
-        r = t
-    while r**n > x:
-        r -= 1
-    while (r + 1) ** n <= x:
-        r += 1
+    # Integer Newton from above stops on the floor root.  Doubling precision:
+    # r is the floor root of x >> n*(K-b), and (r+1) << step starts above.
+    K = -(-x.bit_length() // n)  # the root has at most K bits
+    r = b = 0
+    while b < K:
+        step = min(max(b, 1), K - b)
+        b += step
+        y = x >> n * (K - b)
+        r = (r + 1) << step
+        while True:
+            t = ((n - 1) * r + y // r ** (n - 1)) // n
+            if t >= r:
+                break
+            r = t
     return r, r**n == x
 
 
@@ -138,49 +141,52 @@ class RationalInterval:
 
 
 @dataclass(frozen=True)
-class RadicalProduct:
-    """scalar * prod_j base_j^(1/root_j) with scalar > 0, base_j >= 1.
+class RadicalThreshold:
+    """T(m, s) = 2(s+1)/(m-1) * prod_{k=1}^{m-1} B^(1/k), with B = m!(s+1).
 
-    factors is a tuple of (base, root) pairs.  root == 1 factors are plain
-    integer multipliers; they are kept as written so thresholds render the
-    way they were derived.
+    Every radical threshold of the bounds has this shape: the corollary's
+    is T(r-1, s) and flag level i's is T(r-i, s_{i+1}).  It renders as the
+    factor list it was derived from, roots m-1 down to 1.
     """
 
-    scalar: Fraction
-    factors: tuple[tuple[int, int], ...] = ()
+    m: int
+    s: int
 
     def __post_init__(self) -> None:
-        if type(self.scalar) is not Fraction:
-            object.__setattr__(self, "scalar", Fraction(self.scalar))
-        object.__setattr__(self, "factors", tuple((int(b), int(e)) for b, e in self.factors))
-        if self.scalar <= 0:
-            raise ValidationError(f"radical scalar must be positive, got {self.scalar}")
-        for base, root in self.factors:
-            if base < 1:
-                raise ValidationError(f"radical base must be >= 1, got {base}")
-            if root < 1:
-                raise ValidationError(f"root order must be >= 1, got {root}")
+        if self.m < 2 or self.s < 1:
+            raise ValidationError(f"T(m, s) needs m >= 2 and s >= 1, got T({self.m}, {self.s})")
+
+    @property
+    def scalar(self) -> Fraction:
+        return Fraction(2 * (self.s + 1), self.m - 1)
+
+    @property
+    def base(self) -> int:
+        return math.factorial(self.m) * (self.s + 1)
 
     @property
     def root_lcm(self) -> int:
-        return math.lcm(1, *(root for _, root in self.factors))
+        return math.lcm(*range(1, self.m))
 
-    def enclosure(self, digits: int = FALLBACK_ENCLOSURE_DIGITS) -> RationalInterval:
-        """Directed-rounding enclosure, relative width about 10**-digits."""
+    def _root_bounds(self, digits: int) -> tuple[int, int, int]:
+        """(lo, hi, d) with lo/d <= prod_k B^(1/k) <= hi/d and d = 10**(digits*(m-1))."""
         if digits < 1:
             raise ValidationError(f"digits must be >= 1, got {digits}")
         scale = 10**digits
-        lo_prod = hi_prod = 1
-        for base, root in self.factors:
+        base = self.base
+        lo = hi = 1
+        for root in range(self.m - 1, 0, -1):
             # floor(scale * base^(1/root)) via an exact integer root
             r, exact = integer_nth_root(base * scale**root, root)
-            lo_prod *= r
-            hi_prod *= r if exact else r + 1
-        denom = scale ** len(self.factors)
-        return RationalInterval(
-            self.scalar * Fraction(lo_prod, denom),
-            self.scalar * Fraction(hi_prod, denom),
-        )
+            lo *= r
+            hi *= r if exact else r + 1
+        return lo, hi, scale ** (self.m - 1)
+
+    def enclosure(self, digits: int = FALLBACK_ENCLOSURE_DIGITS) -> RationalInterval:
+        """Directed-rounding enclosure, relative width about 10**-digits."""
+        lo, hi, denom = self._root_bounds(digits)
+        scalar = self.scalar
+        return RationalInterval(scalar * Fraction(lo, denom), scalar * Fraction(hi, denom))
 
     def approx(self, digits: int = 20) -> str:
         """Approximate decimal rendering to `digits` significant digits."""
@@ -188,40 +194,31 @@ class RadicalProduct:
         return fraction_approx(box.midpoint, digits)
 
     def __str__(self) -> str:
-        parts = [format_rational(self.scalar)]
-        for base, root in self.factors:
-            parts.append(str(base) if root == 1 else f"{base}^(1/{root})")
-        return " * ".join(parts)
+        base = self.base
+        roots = (f"{base}^(1/{root})" for root in range(self.m - 1, 1, -1))
+        return " * ".join((format_rational(self.scalar), *roots, str(base)))
 
 
-def _exact_digit_estimate(lhs: int, rhs: RadicalProduct) -> int:
+def _exact_digit_estimate(lhs: int, rhs: RadicalThreshold) -> int:
     """Upper estimate of the decimal digits of the powered integers."""
     L = rhs.root_lcm
     p, q = rhs.scalar.numerator, rhs.scalar.denominator
     left_bits = L * (lhs.bit_length() + q.bit_length())
-    right_bits = L * p.bit_length() + sum(
-        (L // root) * base.bit_length() for base, root in rhs.factors
-    )
+    e = sum(L // k for k in range(1, rhs.m))
+    right_bits = L * p.bit_length() + e * rhs.base.bit_length()
     return int(max(left_bits, right_bits) * _LOG10_2) + 1
 
 
-def compare_radical_exact(lhs: int, rhs: RadicalProduct) -> Comparison:
-    """Decide lhs vs rhs by raising both sides to the lcm of the root orders.
+def compare_radical_exact(lhs: int, rhs: RadicalThreshold) -> Comparison:
+    """Decide lhs vs rhs by raising both sides to L = lcm(1..m-1).
 
     Always conclusive; may build enormous integers.  Both sides are positive,
-    so x -> x^L preserves the order.
+    so x -> x^L preserves the order; T^L = p^L * B^(sum_k L/k) for scalar p/q.
     """
     L = rhs.root_lcm
     p, q = rhs.scalar.numerator, rhs.scalar.denominator
     left = (lhs * q) ** L
-    # One power per distinct base: factors often repeat a base under
-    # different roots, and base**a * base**b is base**(a+b).
-    exponents: dict[int, int] = {}
-    for base, root in rhs.factors:
-        exponents[base] = exponents.get(base, 0) + L // root
-    right = p**L
-    for base, exponent in exponents.items():
-        right *= base**exponent
+    right = p**L * rhs.base ** sum(L // k for k in range(1, rhs.m))
     if left < right:
         return Comparison.LESS
     if left > right:
@@ -230,25 +227,26 @@ def compare_radical_exact(lhs: int, rhs: RadicalProduct) -> Comparison:
 
 
 def compare_radical_enclosure(
-    lhs: int, rhs: RadicalProduct, digits: int = FALLBACK_ENCLOSURE_DIGITS
+    lhs: int, rhs: RadicalThreshold, digits: int = FALLBACK_ENCLOSURE_DIGITS
 ) -> Comparison:
     """Decide lhs vs rhs from a directed enclosure of rhs.
 
     Returns UNDECIDED when lhs falls inside a non-degenerate enclosure,
     which can only happen when lhs is within about 10**-digits of rhs.
     """
-    box = rhs.enclosure(digits)
-    if lhs < box.lo:
+    # lhs against scalar * [lo, hi] / denom, cross-multiplied as integers
+    lo, hi, denom = rhs._root_bounds(digits)
+    p, q = rhs.scalar.numerator, rhs.scalar.denominator
+    left = lhs * q * denom
+    if left < p * lo:
         return Comparison.LESS
-    if lhs > box.hi:
+    if left > p * hi:
         return Comparison.GREATER
-    if box.is_point and lhs == box.lo:
-        return Comparison.EQUAL
-    return Comparison.UNDECIDED
+    return Comparison.EQUAL if lo == hi else Comparison.UNDECIDED
 
 
-def compare_radical(lhs: int, rhs: RadicalProduct) -> Comparison:
-    """Exact three-way comparison of a positive integer with a radical product.
+def compare_radical(lhs: int, rhs: RadicalThreshold) -> Comparison:
+    """Exact three-way comparison of a positive integer with a radical threshold.
 
     The exact powering route runs whenever the powered integers fit
     DIGIT_BUDGET digits; only past the budget does the enclosure fallback

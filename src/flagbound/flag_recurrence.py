@@ -41,7 +41,6 @@ class FlagGenusResult:
     hypotheses, so they verify vacuously.
     """
 
-    flag: FlagCondition
     interval: RationalInterval
     hypotheses_verified: bool
 
@@ -80,7 +79,7 @@ def flag_genus_interval(flag: FlagCondition) -> FlagGenusResult:
     """Evaluate the recursion and attach the separation hypothesis status."""
     interval = _interval(flag)
     verified = flag.length == 1 or flag_separation_verdict(flag) is Verdict.PASS
-    return FlagGenusResult(flag, interval, hypotheses_verified=verified)
+    return FlagGenusResult(interval, hypotheses_verified=verified)
 
 
 def _corollary_form(r: int, d: int, s: int, pi: int) -> Fraction:

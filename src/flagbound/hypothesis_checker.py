@@ -5,21 +5,22 @@ Three families:
 * flag separation: the four growth inequalities between consecutive flag
   degrees s_i and s_{i+1} that make the recursive genus interval valid,
 * corollary degree: the two d-large conditions behind the closed corollary
-  bound (a radical product and a cubic threshold),
+  bound (a radical threshold and a cubic one),
 * lemma degree: the case-split floor on d for the core identity engine.
 
-All comparisons are exact.  Radical thresholds go through compare_radical,
-so a verdict can be undecided only past the digit budget; rational
-thresholds always decide.  Reports render each threshold exactly and,
-on request, as an explicitly approximate decimal.  Callers that need only
-the verdict (flag intervals, batch records, sampling) use the *_verdict
-functions, which read the same thresholds, compare them as integers and
-decide every rational check before any radical one.
+Each radical threshold is a T(m, s) (exact_arith.RadicalThreshold): flag
+level i compares s_i with T(r-i, s_{i+1}) and the corollary compares d with
+T(r-1, s).  All comparisons are exact.  Radical thresholds go through
+compare_radical, so a verdict can be undecided only past the digit
+budget; rational thresholds always decide.  Reports render each threshold
+exactly and, on request, as an explicitly approximate decimal.  Callers that
+need only the verdict (flag intervals, batch records, sampling) use the
+*_verdict functions, which read the same thresholds, compare them as
+integers and decide every rational check before any radical one.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -27,7 +28,7 @@ from fractions import Fraction
 from .errors import ValidationError
 from .exact_arith import (
     Comparison,
-    RadicalProduct,
+    RadicalThreshold,
     compare_radical,
     format_rational,
     fraction_approx,
@@ -69,17 +70,17 @@ class HypothesisCheck:
     label: str
     lhs: int
     relation: str
-    threshold: Fraction | RadicalProduct
+    threshold: Fraction | RadicalThreshold
     verdict: Verdict
 
     @property
     def threshold_str(self) -> str:
-        if isinstance(self.threshold, RadicalProduct):
+        if isinstance(self.threshold, RadicalThreshold):
             return str(self.threshold)
         return format_rational(self.threshold)
 
     def threshold_approx(self, digits: int = 20) -> str:
-        if isinstance(self.threshold, RadicalProduct):
+        if isinstance(self.threshold, RadicalThreshold):
             return self.threshold.approx(digits)
         return fraction_approx(self.threshold, digits)
 
@@ -124,17 +125,17 @@ def _rational_check(label: str, lhs: int, relation: str, threshold: Fraction) ->
     return HypothesisCheck(label, lhs, relation, threshold, verdict)
 
 
-def _radical_check(label: str, lhs: int, product: RadicalProduct) -> HypothesisCheck:
-    return HypothesisCheck(label, lhs, ">", product, _verdict(compare_radical(lhs, product), ">"))
+def _radical_check(label: str, lhs: int, radical: RadicalThreshold) -> HypothesisCheck:
+    return HypothesisCheck(label, lhs, ">", radical, _verdict(compare_radical(lhs, radical), ">"))
 
 
 def _radicals_verdict(pairs) -> Verdict:
-    """The verdict of lhs > product over (lhs, product) pairs, as a report
-    would aggregate it: FAIL at the first failure, else UNDECIDED if any
-    comparison was, else PASS."""
+    """The verdict of lhs > threshold over (lhs, threshold) pairs, as a
+    report would aggregate it: FAIL at the first failure, else UNDECIDED if
+    any comparison was, else PASS."""
     verdict = Verdict.PASS
-    for lhs, product in pairs:
-        comparison = compare_radical(lhs, product)
+    for lhs, threshold in pairs:
+        comparison = compare_radical(lhs, threshold)
         if comparison is Comparison.UNDECIDED:
             verdict = Verdict.UNDECIDED
         elif comparison is not Comparison.GREATER:
@@ -161,25 +162,13 @@ def _separation_rationals(r: int, l: int, i: int, s_next: int) -> tuple[int, int
     )
 
 
-def _separation_radical(r: int, i: int, s_next: int) -> RadicalProduct:
-    """Level i's radical threshold (s_i >):
-
-        2(s_{i+1}+1)/(r-i-1) * prod_{j=1}^{r-1-i} [(r-i)!(s_{i+1}+1)]^(1/(r-i-j))
-    """
-    base = math.factorial(r - i) * (s_next + 1)
-    return RadicalProduct(
-        Fraction(2 * (s_next + 1), r - i - 1),
-        tuple((base, r - i - j) for j in range(1, r - i)),
-    )
-
-
 def check_flag_separation(flag: FlagCondition) -> HypothesisReport:
     """The four separation inequalities between each s_i and s_{i+1}.
 
     The first is non-strict (>=), the other three strict, matching how the
-    conditions are stated (see _separation_rationals and
-    _separation_radical); i runs over 1..l-1, where the flag invariant keeps
-    r-i-1 >= 1.  The radical product is compared exactly.
+    conditions are stated (see _separation_rationals; the radical threshold
+    is T(r-i, s_{i+1})); i runs over 1..l-1, where the flag invariant keeps
+    r-i-1 >= 1.  The radical threshold is compared exactly.
     """
     if flag.length < 2:
         raise ValidationError("flag separation needs at least two degrees")
@@ -194,7 +183,7 @@ def check_flag_separation(flag: FlagCondition) -> HypothesisReport:
             _rational_check(f"i={i} quadratic", s_i, ">", Fraction(quadratic, denom))
         )
         checks.append(
-            _radical_check(f"i={i} radical-product", s_i, _separation_radical(r, i, s_next))
+            _radical_check(f"i={i} radical-product", s_i, RadicalThreshold(r - i, s_next))
         )
         checks.append(_rational_check(f"i={i} quartic", s_i, ">", Fraction(quartic, denom)))
     return HypothesisReport(subject="flagSeparation", checks=tuple(checks))
@@ -216,7 +205,7 @@ def flag_separation_verdict(flag: FlagCondition) -> Verdict:
         if lhs < cubic or lhs <= quadratic or lhs <= quartic:
             return Verdict.FAIL
     return _radicals_verdict(
-        (degrees[i - 1], _separation_radical(r, i, degrees[i])) for i in range(1, l)
+        (degrees[i - 1], RadicalThreshold(r - i, degrees[i])) for i in range(1, l)
     )
 
 
@@ -234,21 +223,12 @@ def _corollary_cubic(r: int, s: int) -> tuple[int, int]:
     return r - 2, 6 * (s + 1) ** 3
 
 
-def _corollary_radical(r: int, s: int) -> RadicalProduct:
-    """The radical threshold (d >): 2(s+1)/(r-2) * prod_{i=1}^{r-2} ((r-1)!(s+1))^(1/(r-1-i))."""
-    base = math.factorial(r - 1) * (s + 1)
-    return RadicalProduct(
-        Fraction(2 * (s + 1), r - 2),
-        tuple((base, r - 1 - i) for i in range(1, r - 1)),
-    )
-
-
 def check_corollary_degree(r: int, d: int, s: int) -> HypothesisReport:
-    """The two d-large conditions: a radical product and 6(s+1)^3/(r-2)."""
+    """The two d-large conditions: d > T(r-1, s) and d > 6(s+1)^3/(r-2)."""
     _validate_corollary(r, d, s)
     denom, cubic = _corollary_cubic(r, s)
     checks = (
-        _radical_check("radical-product", d, _corollary_radical(r, s)),
+        _radical_check("radical-product", d, RadicalThreshold(r - 1, s)),
         _rational_check("cubic", d, ">", Fraction(cubic, denom)),
     )
     return HypothesisReport(subject="corollaryDegree", checks=checks)
@@ -261,7 +241,7 @@ def corollary_degree_verdict(r: int, d: int, s: int) -> Verdict:
     denom, cubic = _corollary_cubic(r, s)
     if d * denom <= cubic:
         return Verdict.FAIL
-    return _radicals_verdict(((d, _corollary_radical(r, s)),))
+    return _radicals_verdict(((d, RadicalThreshold(r - 1, s)),))
 
 
 def check_lemma_degree(r: int, d: int, s: int) -> HypothesisReport:

@@ -103,7 +103,6 @@ class LemmaInput:
     m: int = field(init=False, repr=False)
     eps: int = field(init=False, repr=False)
     w: int = field(init=False, repr=False)
-    v: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tail", tuple(int(t) for t in self.tail))
@@ -115,10 +114,10 @@ class LemmaInput:
             )
         if self.d < 1:
             raise ValidationError(f"degree d must be >= 1, got {self.d}")
-        # d - 1 = m*s + eps and s - 1 = w*(r-2) + v
+        # d - 1 = m*s + eps, and s - 1 = w*(r-2) + v with 0 <= v < r-2
         m, eps = divmod(self.d - 1, self.s)
-        w, v = divmod(self.s - 1, self.r - 2)
-        for name, value in (("m", m), ("eps", eps), ("w", w), ("v", v)):
+        w = (self.s - 1) // (self.r - 2)
+        for name, value in (("m", m), ("eps", eps), ("w", w)):
             object.__setattr__(self, name, value)
         if self.point_profile.stable != self.s:
             raise ValidationError(
@@ -272,14 +271,13 @@ def genus_from_lemma_input(inp: LemmaInput) -> int:
 
 
 class TermEstimates(NamedTuple):
-    """Bounds on R's pieces as integer numerators over den = 6(r-2)^2.
+    """Bounds on R's pieces as integer numerators over 6(r-2)^2.
 
     Only the nonzero endpoints are kept: epsilon_term lies in
     [epsilon_lo, epsilon_hi], and point_sum, delta_sum and tail each lie in
     [0, their *_hi]; radius is the envelope s^3/(r-2).
     """
 
-    den: int
     epsilon_lo: int
     epsilon_hi: int
     point_sum_hi: int
@@ -306,7 +304,6 @@ def term_estimate_intervals(r: int, s: int) -> TermEstimates:
     s2 = s * s
     s3 = s2 * s
     return TermEstimates(
-        den=6 * rm2 * rm2,
         epsilon_lo=-3 * s2 * rm2,
         epsilon_hi=3 * (s + 1) * rm2 * rm2,
         point_sum_hi=2 * s3,

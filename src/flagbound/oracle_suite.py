@@ -24,7 +24,7 @@ from .castelnuovo import castelnuovo_bound
 from .errors import IdentityViolationError, ValidationError
 from .exact_arith import (
     Comparison,
-    RadicalProduct,
+    RadicalThreshold,
     compare_radical_enclosure,
     compare_radical_exact,
     format_rational,
@@ -367,7 +367,7 @@ def _scan_radical_routes(count: int, rng: random.Random) -> ScanRow:
     # enclosure route is conclusive; the worked boundary pair is pinned.
     failures = 0
     detail = ""
-    boundary = RadicalProduct(Fraction(4), ((24, 2), (24, 1)))
+    boundary = RadicalThreshold(3, 3)
     if compare_radical_exact(471, boundary) is not Comparison.GREATER:
         failures += 1
         detail = "boundary pair: 471 should exceed 4 * 24^(1/2) * 24"

@@ -9,14 +9,13 @@ region, not to stress validation.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from .castelnuovo import castelnuovo_bound
 from .errors import ValidationError
-from .exact_arith import RadicalProduct
+from .exact_arith import RadicalThreshold
 from .flags import FlagCondition
 from .hilbert_profiles import DeltaSequence, HilbertProfile, genus_sum
-from .hypothesis_checker import Verdict, check_corollary_degree, corollary_degree_verdict
+from .hypothesis_checker import Verdict, corollary_degree_verdict
 from .lemma_engine import LemmaInput, lemma_degree_threshold
 
 
@@ -105,9 +104,9 @@ def random_corollary_case(rng: random.Random) -> tuple[int, int, int, int]:
     pi <= castelnuovo_bound(r-1, s)."""
     r = rng.randint(3, 8)
     s = rng.randint(r - 1, r + 8)
-    product, cubic = (c.threshold for c in check_corollary_degree(r, 1, s).checks)
-    start = int(product.enclosure(30).hi) + 1
-    start = max(start, int(cubic) + 1)
+    # above the radical threshold T(r-1, s) and the cubic 6(s+1)^3/(r-2)
+    radical = int(RadicalThreshold(r - 1, s).enclosure(30).hi)
+    start = max(radical, 6 * (s + 1) ** 3 // (r - 2)) + 1
     d = start + rng.randint(1, 5000)
     for _ in range(8):
         if corollary_degree_verdict(r, d, s) is Verdict.PASS:
@@ -119,22 +118,23 @@ def random_corollary_case(rng: random.Random) -> tuple[int, int, int, int]:
     return r, d, s, pi
 
 
-def random_radical_instance(rng: random.Random) -> tuple[int, RadicalProduct]:
-    """(lhs, rhs) pairs, weighted toward near-threshold and exact-equality cases."""
+def random_radical_instance(rng: random.Random) -> tuple[int, RadicalThreshold]:
+    """(lhs, T(m, s)) pairs with m <= 7, lhs within 2 of T.
+
+    About one in five is an exact value, with lhs on it or one off:
+    T(2, s) = 4(s+1)^2, T(3, 6k^2-1) = 1296k^5 or, rarely, T(7, s) =
+    210^69/15120 at B = 210^20, whose roots of orders 3 and 6 are irrational.
+    """
     if rng.random() < 0.2:
-        # exact-value case: every factor is a perfect power
-        root = rng.randint(2, 4)
-        base = rng.randint(2, 9)
-        scalar = Fraction(rng.randint(1, 12))
-        rhs = RadicalProduct(scalar, ((base**root, root),))
-        exact = int(scalar * base)
-        lhs = max(1, exact + rng.choice([-1, 0, 0, 1]))
-        return lhs, rhs
-    scalar = Fraction(rng.randint(1, 30), rng.randint(1, 10))
-    factors = tuple(
-        (rng.randint(2, 600), rng.randint(2, 6)) for _ in range(rng.randint(0, 4))
-    )
-    rhs = RadicalProduct(scalar, factors)
-    mid = rhs.enclosure(25).midpoint
-    lhs = max(1, int(mid) + rng.randint(-2, 2))
-    return lhs, rhs
+        family = rng.random()
+        if family < 0.45:
+            s = rng.randint(1, 600)
+            rhs, exact = RadicalThreshold(2, s), 4 * (s + 1) ** 2
+        elif family < 0.9:
+            k = rng.randint(1, 12)
+            rhs, exact = RadicalThreshold(3, 6 * k * k - 1), 1296 * k**5
+        else:
+            rhs, exact = RadicalThreshold(7, 210**20 // 5040 - 1), 210**69 // 15120
+        return exact + rng.choice([-1, 0, 0, 1]), rhs
+    rhs = RadicalThreshold(rng.randint(2, 7), rng.randint(1, 600))
+    return int(rhs.enclosure(25).midpoint) + rng.randint(-2, 2), rhs  # T >= 16

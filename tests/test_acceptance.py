@@ -5,6 +5,7 @@ overall status is scannable from the test log.  Everything is seeded and
 deterministic; no tolerances anywhere.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ from mpmath import iv
 from flagbound import _backend
 from flagbound.castelnuovo import castelnuovo_bound
 from flagbound.errors import IdentityViolationError
-from flagbound.exact_arith import Comparison, RadicalProduct, compare_radical
+from flagbound.exact_arith import Comparison, RadicalThreshold, compare_radical
 from flagbound.flag_recurrence import (
     corollary_alternative_bound,
     corollary_bound,
@@ -145,11 +146,13 @@ def test_alternative_bound_sits_strictly_below_corollary_bound(capsys):
     assert ok, f"dichotomy failures: {failures[:5]}"
 
 
-def _directed_enclosure_verdict(lhs: int, rhs: RadicalProduct):
-    """Independent 200-digit check with outward-rounded interval power."""
-    total = iv.mpf(rhs.scalar.numerator) / iv.mpf(rhs.scalar.denominator)
-    for base, root in rhs.factors:
-        total *= iv.mpf(base) ** (iv.mpf(1) / iv.mpf(root))
+def _directed_enclosure_verdict(lhs: int, rhs: RadicalThreshold):
+    """Independent 200-digit check with outward-rounded interval power of
+    T(m, s) = 2(s+1)/(m-1) * prod_{k=1}^{m-1} (m!(s+1))^(1/k)."""
+    total = iv.mpf(2 * (rhs.s + 1)) / iv.mpf(rhs.m - 1)
+    base = iv.mpf(math.factorial(rhs.m) * (rhs.s + 1))
+    for root in range(1, rhs.m):
+        total *= base ** (iv.mpf(1) / iv.mpf(root))
     if lhs > total.b:
         return Comparison.GREATER
     if lhs < total.a:
@@ -163,7 +166,7 @@ def test_radical_comparisons_match_directed_rounding_oracle(capsys):
     iv.dps = 200
     rng = random.Random(RNG_SEED + 3)
     failures = []
-    boundary = RadicalProduct(Fraction(4), ((24, 2), (24, 1)))
+    boundary = RadicalThreshold(3, 3)  # 4 * 24^(1/2) * 24
     if compare_radical(471, boundary) is not Comparison.GREATER:
         failures.append("boundary 471")
     if compare_radical(470, boundary) is not Comparison.LESS:

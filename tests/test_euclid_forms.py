@@ -28,5 +28,5 @@ def test_m_epsilon_reconstruction(r, data):
 def test_w_v_reconstruction(r, data):
     s = data.draw(st.integers(min_value=r - 1, max_value=10**6))
     inp = _lemma_input(r, s + 1, s)
-    assert 0 <= inp.v < r - 2
-    assert s - 1 == inp.w * (r - 2) + inp.v
+    v = s - 1 - inp.w * (r - 2)
+    assert 0 <= v < r - 2

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from flagbound import exact_arith
 from flagbound.errors import ValidationError
 from flagbound.exact_arith import (
     Comparison,
-    RadicalProduct,
+    RadicalThreshold,
     RationalInterval,
     compare_radical,
     compare_radical_enclosure,
@@ -64,6 +65,16 @@ class TestIntegerNthRoot:
         assert r**n <= x < (r + 1) ** n
         assert exact == (r**n == x)
 
+    @given(
+        st.integers(min_value=2, max_value=10**250),
+        st.integers(min_value=2, max_value=16),
+        st.sampled_from([-1, 0, 1]),
+    )
+    @settings(max_examples=200)
+    def test_large_near_perfect_powers(self, b, n, delta):
+        # the enclosures take roots of numbers with thousands of digits
+        assert integer_nth_root(b**n + delta, n) == (b - (delta < 0), delta == 0)
+
 
 class TestRationalInterval:
     def test_basic(self):
@@ -99,40 +110,51 @@ class TestRationalInterval:
 
 
 class TestRadicalProduct:
+    # T(m, s) = 2(s+1)/(m-1) * prod_{k=1}^{m-1} B^(1/k), B = m!(s+1)
     def test_validation(self):
         with pytest.raises(ValidationError):
-            RadicalProduct(Fraction(0))
+            RadicalThreshold(1, 3)
         with pytest.raises(ValidationError):
-            RadicalProduct(Fraction(1), ((0, 2),))
-        with pytest.raises(ValidationError):
-            RadicalProduct(Fraction(1), ((2, 0),))
+            RadicalThreshold(3, 0)
 
     def test_str(self):
-        rp = RadicalProduct(Fraction(4), ((24, 2), (24, 1)))
-        assert str(rp) == "4 * 24^(1/2) * 24"
-        assert str(RadicalProduct(Fraction(2, 3))) == "2/3"
+        assert str(RadicalThreshold(3, 3)) == "4 * 24^(1/2) * 24"
+        assert str(RadicalThreshold(2, 10)) == "22 * 22"
+        assert str(RadicalThreshold(5, 10)) == "11/2 * 1320^(1/4) * 1320^(1/3) * 1320^(1/2) * 1320"
 
     def test_enclosure_brackets_value(self):
-        rp = RadicalProduct(Fraction(4), ((24, 2), (24, 1)))
-        box = rp.enclosure(30)
+        box = RadicalThreshold(3, 3).enclosure(30)
         # 4 * 24^(3/2) = sqrt(221184): between 470 and 471
         assert 470 < box.lo <= box.hi < 471
         assert box.width < Fraction(1, 10**25)
 
     def test_enclosure_point_when_rational(self):
-        box = RadicalProduct(Fraction(3), ((16, 2),)).enclosure(10)
-        assert box.is_point and box.lo == 12
+        # T(3, 5) = 6 * 36^(1/2) * 36 = 1296
+        box = RadicalThreshold(3, 5).enclosure(10)
+        assert box.is_point and box.lo == 1296
 
     def test_approx(self):
-        assert RadicalProduct(Fraction(3), ((16, 2),)).approx(6) == "12"
+        assert RadicalThreshold(3, 5).approx(6) == "1296"
 
 
-def _per_factor_exact(lhs: int, rhs: RadicalProduct) -> Comparison:
-    """Both sides to the power lcm(roots), the right one factor at a time."""
-    L = rhs.root_lcm
-    left = (lhs * rhs.scalar.denominator) ** L
-    right = rhs.scalar.numerator**L
-    for base, root in rhs.factors:
+def _old_factor_list(m: int, s: int) -> str:
+    """T(m, s) written out as a scalar and (base, root) factors, roots m-1
+    down to 1, the way the general radical product rendered it."""
+    base = math.factorial(m) * (s + 1)
+    parts = [format_rational(Fraction(2 * (s + 1), m - 1))]
+    parts += [str(base) if root == 1 else f"{base}^(1/{root})" for root in range(m - 1, 0, -1)]
+    return " * ".join(parts)
+
+
+def _per_factor_exact(lhs: int, rhs: RadicalThreshold) -> Comparison:
+    """Both sides to the power lcm(1..m-1), the right one factor at a time."""
+    m, s = rhs.m, rhs.s
+    L = math.lcm(*range(1, m))
+    scalar = Fraction(2 * (s + 1), m - 1)
+    base = math.factorial(m) * (s + 1)
+    left = (lhs * scalar.denominator) ** L
+    right = scalar.numerator**L
+    for root in range(1, m):
         right *= base ** (L // root)
     if left < right:
         return Comparison.LESS
@@ -141,7 +163,7 @@ def _per_factor_exact(lhs: int, rhs: RadicalProduct) -> Comparison:
 
 class TestCompareRadical:
     # The worked boundary pair: 471^2 = 221841 > 4^2 * 24^3 = 221184 > 470^2 = 220900.
-    BOUNDARY = RadicalProduct(Fraction(4), ((24, 2), (24, 1)))
+    BOUNDARY = RadicalThreshold(3, 3)
 
     def test_boundary_pair(self):
         assert compare_radical(471, self.BOUNDARY) is Comparison.GREATER
@@ -153,53 +175,54 @@ class TestCompareRadical:
             assert route(470, self.BOUNDARY) is Comparison.LESS
 
     def test_equality_exact_route(self):
-        rp = RadicalProduct(Fraction(3), ((16, 2),))
-        assert compare_radical(12, rp) is Comparison.EQUAL
-        assert compare_radical(13, rp) is Comparison.GREATER
-        assert compare_radical(11, rp) is Comparison.LESS
+        rp = RadicalThreshold(3, 5)
+        assert compare_radical(1296, rp) is Comparison.EQUAL
+        assert compare_radical(1297, rp) is Comparison.GREATER
+        assert compare_radical(1295, rp) is Comparison.LESS
 
     def test_repeated_base_perfect_powers(self):
-        # 64^(1/2) * 64^(1/3) * 64^(1/6) * 64 = 8 * 4 * 2 * 64, times 3/2
-        rp = RadicalProduct(Fraction(3, 2), ((64, 2), (64, 3), (64, 6), (64, 1)))
-        assert compare_radical_exact(6144, rp) is Comparison.EQUAL
-        assert compare_radical_exact(6143, rp) is Comparison.LESS
-        assert compare_radical_exact(6145, rp) is Comparison.GREATER
+        # T(3, 6k^2-1) = 6k^2 * 6k * 36k^2 = 1296k^5.  T(7, s) at
+        # B = 7!(s+1) = 210^20 is 210^69/15120, rational though its roots of
+        # orders 3 and 6 are not: the one base carries the exponent sum.
+        cases = [(RadicalThreshold(3, 6 * k * k - 1), 1296 * k**5) for k in (1, 2, 7)]
+        cases.append((RadicalThreshold(7, 210**20 // 5040 - 1), 210**69 // 15120))
+        for rp, value in cases:
+            assert compare_radical_exact(value, rp) is Comparison.EQUAL
+            assert compare_radical_exact(value - 1, rp) is Comparison.LESS
+            assert compare_radical_exact(value + 1, rp) is Comparison.GREATER
 
     @given(
-        st.integers(min_value=1, max_value=40),
-        st.integers(min_value=1, max_value=12),
-        st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=4),
-        st.lists(
-            st.tuples(
-                st.one_of(st.sampled_from([2, 3, 24, 264]), st.integers(1, 10**4)),
-                st.integers(min_value=1, max_value=6),
-            ),
-            max_size=4,
-        ),
-        st.integers(min_value=-1, max_value=1),
+        st.integers(min_value=2, max_value=16),
+        st.integers(min_value=1, max_value=10**4),
+        st.integers(min_value=1, max_value=50),
     )
-    @settings(max_examples=200, deadline=None)
-    def test_grouped_powering_matches_per_factor(self, num, den, roots, others, delta):
-        # c^k under each root k, once as a perfect power and once as c^k itself
-        # to a repeated base, makes the product rational and lhs lands on it.
-        c = 1 + num % 7
-        perfect = tuple((c**k, k) for k in roots)
-        rhs = RadicalProduct(Fraction(num, den), perfect + perfect[:1] + tuple(others))
-        value = num * c ** (len(roots) + 1)
-        lhs = max(1, value // den + delta)
-        expected = _per_factor_exact(lhs, rhs)
-        assert compare_radical_exact(lhs, rhs) is expected
-        if not others and value % den == 0 and delta == 0:
-            assert expected is Comparison.EQUAL
+    @settings(max_examples=60, deadline=None)
+    def test_grouped_powering_matches_per_factor(self, m, s, k):
+        # One base B raised to sum L/k is the product of the factors, each
+        # raised to L/k.  Past m = 10 the powered integers run to millions of
+        # digits, so there only the rendering is checked.
+        rp = RadicalThreshold(m, s)
+        assert str(rp) == _old_factor_list(m, s)
+        if m <= 10:
+            box = rp.enclosure(40)
+            floor = math.floor(box.lo)
+            assert floor == math.floor(box.hi)
+            for lhs in (floor, floor + 1):
+                assert compare_radical_exact(lhs, rp) is _per_factor_exact(lhs, rp)
+        assert compare_radical_exact(4 * (s + 1) ** 2, RadicalThreshold(2, s)) is Comparison.EQUAL
+        family = RadicalThreshold(3, 6 * k * k - 1)
+        assert compare_radical_exact(1296 * k**5, family) is Comparison.EQUAL
 
     def test_equality_through_enclosure(self):
-        rp = RadicalProduct(Fraction(3), ((16, 2),))
-        assert compare_radical_enclosure(12, rp) is Comparison.EQUAL
+        assert compare_radical_enclosure(1296, RadicalThreshold(3, 5)) is Comparison.EQUAL
+        assert compare_radical_enclosure(4 * 11**2, RadicalThreshold(2, 10)) is Comparison.EQUAL
 
     def test_plain_rational_comparison(self):
-        rp = RadicalProduct(Fraction(20000, 3))
-        assert compare_radical(6666, rp) is Comparison.LESS
-        assert compare_radical(6667, rp) is Comparison.GREATER
+        # m = 2 has the single root 1: T(2, 40) = 82 * 82 = 6724
+        rp = RadicalThreshold(2, 40)
+        assert compare_radical(6723, rp) is Comparison.LESS
+        assert compare_radical(6724, rp) is Comparison.EQUAL
+        assert compare_radical(6725, rp) is Comparison.GREATER
 
     def test_rejects_nonpositive_lhs(self):
         with pytest.raises(ValidationError):
@@ -215,34 +238,28 @@ class TestCompareRadical:
         assert compare_radical(470, self.BOUNDARY) is Comparison.LESS
 
     def test_undecided_only_under_coarse_enclosure(self, monkeypatch):
-        # sqrt(999983) = 999.9915; a 1-digit enclosure is too coarse to
-        # separate it from 1000, and only then may UNDECIDED appear.
-        rp = RadicalProduct(Fraction(1), ((999983, 2),))
-        assert compare_radical_enclosure(1000, rp, digits=1) is Comparison.UNDECIDED
-        assert compare_radical_enclosure(1000, rp, digits=10) is Comparison.GREATER
-        assert compare_radical(1000, rp) is Comparison.GREATER
+        # T(3, 3) = 470.30; a 1-digit enclosure, [460.8, 470.4], is too
+        # coarse to separate it from 470, and only then may UNDECIDED appear.
+        rp = self.BOUNDARY
+        assert compare_radical_enclosure(470, rp, digits=1) is Comparison.UNDECIDED
+        assert compare_radical_enclosure(470, rp, digits=10) is Comparison.LESS
+        assert compare_radical(470, rp) is Comparison.LESS
         monkeypatch.setattr(exact_arith, "DIGIT_BUDGET", 1)
         monkeypatch.setattr(exact_arith, "FALLBACK_ENCLOSURE_DIGITS", 1)
-        assert compare_radical(1000, rp) is Comparison.UNDECIDED
+        assert compare_radical(470, rp) is Comparison.UNDECIDED
 
     def test_digit_budget_is_the_module_constant(self):
         assert digit_budget() == exact_arith.DIGIT_BUDGET == 10**6
 
     @given(
-        st.integers(min_value=1, max_value=10**6),
-        st.integers(min_value=1, max_value=1000),
-        st.integers(min_value=1, max_value=50),
-        st.lists(
-            st.tuples(
-                st.integers(min_value=1, max_value=10**4),
-                st.integers(min_value=1, max_value=5),
-            ),
-            max_size=3,
-        ),
+        st.integers(min_value=2, max_value=8),
+        st.integers(min_value=1, max_value=10**4),
+        st.integers(min_value=-3, max_value=3),
     )
     @settings(max_examples=150, deadline=None)
-    def test_routes_agree_when_enclosure_decides(self, lhs, num, den, factors):
-        rhs = RadicalProduct(Fraction(num, den), tuple(factors))
+    def test_routes_agree_when_enclosure_decides(self, m, s, delta):
+        rhs = RadicalThreshold(m, s)
+        lhs = max(1, math.floor(rhs.enclosure(30).lo) + delta)
         exact = compare_radical_exact(lhs, rhs)
         enclosed = compare_radical_enclosure(lhs, rhs, digits=60)
         if enclosed is not Comparison.UNDECIDED:

@@ -90,11 +90,12 @@ class TestFlagGenusInterval:
         assert result.hypotheses_verified is True
 
     def test_frozen_two_step(self):
-        result = flag_genus_interval(FlagCondition(5, (1000, 10)))
+        flag = FlagCondition(5, (1000, 10))
+        result = flag_genus_interval(flag)
         assert result.interval.lo == Fraction(149900, 3)
         assert result.interval.hi == Fraction(151900, 3)
         assert result.hypotheses_verified is False  # separation needs a larger s_1
-        assert result.hypotheses_verified == check_flag_separation(result.flag).passed
+        assert result.hypotheses_verified == check_flag_separation(flag).passed
 
     def test_two_step_midpoint_is_quadratic_bound(self):
         for r, s1, s2 in [(5, 1000, 10), (4, 500, 21), (6, 10**6, 97)]:

@@ -65,12 +65,20 @@ CASES = {
     "hypotheses-corollary": (["hypotheses", "corollary", "12", "100000000000000000000000000", "12", "--digits", "30"], None),
     "hypotheses-lemma": (["hypotheses", "lemma", "5", "50", "7", "--digits", "30"], None),
     "flag-table": (["flag", "--format", "table", "--digits", "30", "6", "10000000", "20000", "30", "3"], None),
+    # Both radical routes: r = 13 powers exactly just under the digit
+    # budget, r = 16 is past it and takes the enclosure route.
+    "hypotheses-corollary-exact-edge": (["hypotheses", "--digits", "30", "corollary", "13", str(10**31), "13"], None),
+    "hypotheses-corollary-enclosure": (["hypotheses", "--digits", "30", "corollary", "16", str(10**49), "16"], None),
+    "hypotheses-flag-r10": (["hypotheses", "--digits", "30", "flag", "10", str(10**80), str(10**17), "20"], None),
 }
 
 DIGESTS = {
     "batch": "eb5a460a7bf99800b223bec32657de7d66c445a036f620e884a09cafe5f852ff",
     "flag-table": "9576cb2557d105695f1c4a7b5d14eae6b9d29c65d7627421d0b2bc83e5c270c9",
+    "hypotheses-corollary-enclosure": "cd3814681562513af3c56c2ce43a8022b8e29c44098838efb5dea258ae5addf8",
+    "hypotheses-corollary-exact-edge": "88c0e947c51cbdd5663da991c9fd7f2cb2f980943941ef509e99a8ca68c83eab",
     "hypotheses-corollary": "75b29d9d7b874038b5fae8f0dbb918a62331bd99c75ed24bc59c1611ae889298",
+    "hypotheses-flag-r10": "54dd1772eb7b599528e30fad147f60dc1078cac6b51cad6edc35ff5fba224e82",
     "hypotheses-flag": "bfbf336a5c67310724ee45f24fe7c3b545afa562005a9194e56fd185416dd951",
     "hypotheses-lemma": "50179073f86483f64c7714822aff078393ff4ab8ac34a728454b3d649c5f274a",
     "verify-seed-1": "9c16bea612fa0cf00a02680d3404ab9fb6edb7b6c9ec9a2758c144d5e6c91ff4",

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flagbound.errors import ValidationError
-from flagbound.exact_arith import Comparison, RadicalProduct
+from flagbound.exact_arith import Comparison, RadicalThreshold
 from flagbound.flag_recurrence import flag_genus_interval
 from flagbound.flags import FlagCondition
 from flagbound.hypothesis_checker import (
@@ -52,10 +52,10 @@ class TestFlagSeparation:
         product = next(
             c.threshold for c in report.checks if c.label == "i=1 radical-product"
         )
-        assert isinstance(product, RadicalProduct)
-        # i=1, r=5: scalar 2*11/3, factors (4!*11)^(1/(4-j)) for j=1..3
-        assert product.scalar == Fraction(22, 3)
-        assert product.factors == ((264, 3), (264, 2), (264, 1))
+        # i=1, r=5: T(4, 10) = 2*11/3 * (4!*11)^(1/3) * (4!*11)^(1/2) * 4!*11
+        assert product == RadicalThreshold(4, 10)
+        assert (product.scalar, product.base) == (Fraction(22, 3), 264)
+        assert str(product) == "22/3 * 264^(1/3) * 264^(1/2) * 264"
 
     def test_three_step_flag_checks_each_gap(self):
         flag = FlagCondition(6, (10**9, 10**5, 10))
@@ -81,7 +81,7 @@ class TestFlagSeparation:
 
 class TestCorollaryDegree:
     def test_boundary_pair(self):
-        # the radical product at (r=4, s=3) sits strictly between 470 and 471
+        # the radical threshold T(3, 3) at (r=4, s=3) sits strictly between 470 and 471
         low = check_corollary_degree(4, 470, 3)
         high = check_corollary_degree(4, 471, 3)
         radical_low = next(c for c in low.checks if c.label == "radical-product")
@@ -95,7 +95,7 @@ class TestCorollaryDegree:
 
     def test_whole_report(self):
         report = check_corollary_degree(4, 200, 3)
-        assert report.verdict is Verdict.FAIL  # radical product needs d > 470.3...
+        assert report.verdict is Verdict.FAIL  # the radical threshold needs d > 470.3...
         report = check_corollary_degree(4, 10**6, 3)
         assert report.verdict is Verdict.PASS
 
@@ -144,7 +144,7 @@ class TestLemmaDegree:
 
 def _ceiling(threshold) -> int:
     """The least integer above every value a threshold may take."""
-    if isinstance(threshold, RadicalProduct):
+    if isinstance(threshold, RadicalThreshold):
         threshold = threshold.enclosure(30).hi
     return math.floor(threshold) + 1
 

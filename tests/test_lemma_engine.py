@@ -58,7 +58,8 @@ class TestDegreeHypothesis:
 class TestLemmaInput:
     def test_worked_example_splits(self):
         assert (WORKED.m, WORKED.eps) == (7, 0)
-        assert (WORKED.w, WORKED.v) == (2, 0)
+        assert WORKED.w == 2
+        assert WORKED.s - 1 - WORKED.w * (WORKED.r - 2) == 0  # v
         assert WORKED.pi == 3
 
     def test_delta_variant_lowers_pi(self):
@@ -236,8 +237,8 @@ class TestGenusAndBound:
 class TestTermEstimates:
     def test_frozen_r4_s3(self):
         est = term_estimate_intervals(4, 3)
-        assert est == (24, -54, 48, 54, 108, 81, 324)
-        den = Fraction(est.den)
+        assert est == (-54, 48, 54, 108, 81, 324)
+        den = Fraction(6 * (4 - 2) ** 2)
         assert est.epsilon_lo / den == Fraction(-9, 4)
         assert est.epsilon_hi / den == 2
         assert est.point_sum_hi / den == Fraction(27, 12)
@@ -264,8 +265,7 @@ class TestTermEstimates:
         s = r - 1 + extra
         est = term_estimate_intervals(r, s)
         rm2 = r - 2
-        assert est.den == 6 * rm2 * rm2
-        den = Fraction(est.den)
+        den = Fraction(6 * rm2 * rm2)
         assert est.epsilon_lo / den == Fraction(-s * s, 2 * rm2)
         assert est.epsilon_hi / den == Fraction(s + 1, 2)
         assert est.point_sum_hi / den == Fraction(s**3, 3 * rm2 * rm2)

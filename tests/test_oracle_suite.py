@@ -112,7 +112,7 @@ def fake_estimates(monkeypatch, table):
 
     def estimates(r, s):
         lo, hi, radius = table[(r, s)]
-        return TermEstimates(1, lo, hi, 0, 0, 0, radius)
+        return TermEstimates(lo, hi, 0, 0, 0, radius)
 
     monkeypatch.setattr(oracle_suite, "term_estimate_intervals", estimates)
 

@@ -68,3 +68,38 @@ def test_every_definition_has_a_caller_outside_the_tests():
             if not (name.startswith("__") and name.endswith("__")) and name not in referenced:
                 unused.append(f"{path.stem}.{qualname}")
     assert unused == []
+
+
+def _fields(tree: ast.Module) -> list[str]:
+    """Annotated fields (dataclass, NamedTuple) of module-level classes."""
+    return [
+        f"{node.name}.{item.target.id}"
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+    ]
+
+
+def _attributes_read(paths) -> set[str]:
+    return {
+        node.attr
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_every_field_is_read_outside_the_tests():
+    # A field is computed and stored for every instance, so one that only
+    # the tests read is dead weight too.  It counts as read when some
+    # `.name` loads it in the package or the benchmark harness.
+    modules = sorted(SRC.glob("*.py"))
+    read = _attributes_read(modules + sorted(BENCH.glob("*.py")))
+    unused = [
+        f"{path.stem}.{qualname}"
+        for path in modules
+        for qualname in _fields(ast.parse(path.read_text(encoding="utf-8")))
+        if qualname.rsplit(".", 1)[-1] not in read
+    ]
+    assert unused == []
