@@ -192,19 +192,22 @@ def _cmd_castelnuovo(args) -> int:
 
 
 def _cmd_flag(args) -> int:
-    result = _flag(args.r, args.degrees)
-    lines = None
-    if args.format == "table":
-        flag = FlagCondition(args.r, tuple(args.degrees))
-        lines = [
-            f"flag                = {flag}",
-            f"lo                  = {result['lo']}",
-            f"hi                  = {result['hi']}",
-            f"hypothesesVerified  = {json.dumps(result['hypothesesVerified'])}",
-        ]
-        if flag.length > 1:
-            # the result holds only the verdict; the table renders every check
-            lines.extend(_report_table(check_flag_separation(flag).to_dict(args.digits)))
+    if args.format != "table":
+        _emit(_flag(args.r, args.degrees), args.format)
+        return 0
+    # The table renders every separation check, so the verdict is read from
+    # that one report instead of being decided a second time.
+    flag = FlagCondition(args.r, tuple(args.degrees))
+    report = check_flag_separation(flag) if flag.length > 1 else None
+    result = flag_genus_interval(flag, report and report.verdict).to_dict()
+    lines = [
+        f"flag                = {flag}",
+        f"lo                  = {result['lo']}",
+        f"hi                  = {result['hi']}",
+        f"hypothesesVerified  = {json.dumps(result['hypothesesVerified'])}",
+    ]
+    if report is not None:
+        lines.extend(_report_table(report.to_dict(args.digits)))
     _emit(result, args.format, lines)
     return 0
 

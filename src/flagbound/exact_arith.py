@@ -14,6 +14,14 @@ Comparisons are decided by raising both sides to L = lcm(1..m-1), which
 raises the one base B to sum L/k; exact, but it can explode.  Above a digit
 budget a directed-rounding enclosure built from floor roots takes over and
 may return UNDECIDED.
+
+The powers are built with `int` arithmetic (Karatsuba multiplication) while
+they stay under _DECIMAL_DIGITS digits, and above that in `decimal`, whose
+libmpdec multiplies huge coefficients by a number-theoretic transform in
+O(n log n).  The decimal path is as exact as the int one: every operand is
+an integer, the context's precision (MAX_PREC, about 10^18 digits on 64-bit
+builds) exceeds any coefficient that fits in memory, and a rounding, were
+one ever needed, would raise Rounded/Inexact instead of giving a verdict.
 """
 
 from __future__ import annotations
@@ -32,6 +40,25 @@ DIGIT_BUDGET = 10**6
 
 #: Working precision (decimal digits) of the enclosure fallback.
 FALLBACK_ENCLOSURE_DIGITS = 200
+
+#: Powers estimated above this many decimal digits are built in decimal
+#: (transform multiplication), smaller ones as ints (Karatsuba).  Chosen at
+#: the break-even of benchmarks/bench_kernels.py's powering ladder (2-vCPU
+#: Xeon VM, Python 3.11.7; int time over decimal time, three runs):
+#: T(m, m+1) at lhs = floor(T) + 1 gave 0.17-0.29 at m = 8 (6.9k digits),
+#: 0.27-0.41 at 9 (16k), 0.49-0.68 at 10 (59k), 0.60-0.86 at 11 (68k),
+#: 2.0-3.5 at 12 (0.87M) and 2.9-3.2 at 13 (0.98M); T(7, s) at B = 210^(25k)
+#: and lhs = T + 1 gave 0.61-0.69 at 48k digits, 1.03-1.08 at 96k, 1.16-1.24
+#: at 144k and 1.18-1.49 at 192k.
+_DECIMAL_DIGITS = 100_000
+
+#: Exact integer arithmetic in decimal: nothing can round, and if anything
+#: ever did the traps turn it into an error instead of a wrong verdict.
+_EXACT = decimal.Context(
+    prec=decimal.MAX_PREC,
+    Emax=decimal.MAX_EMAX,
+    traps=[decimal.Inexact, decimal.Rounded, decimal.Overflow],
+)
 
 _LOG10_2 = math.log10(2)
 
@@ -199,26 +226,42 @@ class RadicalThreshold:
         return " * ".join((format_rational(self.scalar), *roots, str(base)))
 
 
-def _exact_digit_estimate(lhs: int, rhs: RadicalThreshold) -> int:
-    """Upper estimate of the decimal digits of the powered integers."""
+def _powering(lhs: int, rhs: RadicalThreshold) -> tuple[int, int, int, int, int, int]:
+    """(x, p, B, L, e, digits): lhs vs rhs raised to L = lcm(1..m-1).
+
+    lhs^L compares with T^L as x^L with p^L * B^e, where p/q is T's scalar,
+    x = lhs * q and e = sum_k L/k; digits is an upper estimate of the
+    decimal digits of either side.
+    """
     L = rhs.root_lcm
-    p, q = rhs.scalar.numerator, rhs.scalar.denominator
-    left_bits = L * (lhs.bit_length() + q.bit_length())
+    scalar = rhs.scalar
+    p, q = scalar.numerator, scalar.denominator
+    base = rhs.base
     e = sum(L // k for k in range(1, rhs.m))
-    right_bits = L * p.bit_length() + e * rhs.base.bit_length()
-    return int(max(left_bits, right_bits) * _LOG10_2) + 1
+    left_bits = L * (lhs.bit_length() + q.bit_length())
+    right_bits = L * p.bit_length() + e * base.bit_length()
+    return lhs * q, p, base, L, e, int(max(left_bits, right_bits) * _LOG10_2) + 1
 
 
-def compare_radical_exact(lhs: int, rhs: RadicalThreshold) -> Comparison:
+def compare_radical_exact(
+    lhs: int, rhs: RadicalThreshold, powering: tuple | None = None
+) -> Comparison:
     """Decide lhs vs rhs by raising both sides to L = lcm(1..m-1).
 
     Always conclusive; may build enormous integers.  Both sides are positive,
     so x -> x^L preserves the order; T^L = p^L * B^(sum_k L/k) for scalar p/q.
+    `powering` is _powering(lhs, rhs), when the caller has it already.
     """
-    L = rhs.root_lcm
-    p, q = rhs.scalar.numerator, rhs.scalar.denominator
-    left = (lhs * q) ** L
-    right = p**L * rhs.base ** sum(L // k for k in range(1, rhs.m))
+    x, p, base, L, e, digits = powering or _powering(lhs, rhs)
+    if digits > _DECIMAL_DIGITS:
+        ctx = _EXACT
+        left = ctx.power(decimal.Decimal(x), L)
+        right = ctx.multiply(
+            ctx.power(decimal.Decimal(p), L), ctx.power(decimal.Decimal(base), e)
+        )
+    else:
+        left = x**L
+        right = p**L * base**e
     if left < right:
         return Comparison.LESS
     if left > right:
@@ -255,6 +298,7 @@ def compare_radical(lhs: int, rhs: RadicalThreshold) -> Comparison:
     """
     if not isinstance(lhs, int) or lhs < 1:
         raise ValidationError(f"lhs must be a positive integer, got {lhs!r}")
-    if _exact_digit_estimate(lhs, rhs) <= DIGIT_BUDGET:
-        return compare_radical_exact(lhs, rhs)
+    powering = _powering(lhs, rhs)
+    if powering[-1] <= DIGIT_BUDGET:
+        return compare_radical_exact(lhs, rhs, powering)
     return compare_radical_enclosure(lhs, rhs, FALLBACK_ENCLOSURE_DIGITS)

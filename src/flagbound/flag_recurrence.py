@@ -75,10 +75,16 @@ def _interval(flag: FlagCondition) -> RationalInterval:
     return RationalInterval(Fraction(lo, den), Fraction(hi, den))
 
 
-def flag_genus_interval(flag: FlagCondition) -> FlagGenusResult:
-    """Evaluate the recursion and attach the separation hypothesis status."""
+def flag_genus_interval(
+    flag: FlagCondition, separation: Verdict | None = None
+) -> FlagGenusResult:
+    """Evaluate the recursion and attach the separation hypothesis status.
+
+    A caller that has built check_flag_separation(flag) passes its verdict
+    as `separation`, so the radical thresholds are not compared again.
+    """
     interval = _interval(flag)
-    verified = flag.length == 1 or flag_separation_verdict(flag) is Verdict.PASS
+    verified = flag.length == 1 or (separation or flag_separation_verdict(flag)) is Verdict.PASS
     return FlagGenusResult(interval, hypotheses_verified=verified)
 
 

@@ -163,3 +163,5 @@ def test_bench_kernels_smoke():
     names = [line.split()[0] for line in out.stdout.splitlines() if line.strip()]
     for kernel in ("deficiency_sum", "weighted_deficiency_sum", "truncated_section_sum"):
         assert names.count(kernel) == 2, out.stdout
+    # and one row per powering threshold, each timing both arithmetic paths
+    assert names.count("compare_radical_exact") == 10, out.stdout

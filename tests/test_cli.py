@@ -80,6 +80,25 @@ class TestFlag:
         assert "i=1 quartic" in out
         assert "approx" in out
 
+    @pytest.mark.parametrize(
+        "comparison,verified", [(None, "true"), (Comparison.UNDECIDED, "false")]
+    )
+    def test_table_compares_each_radical_once(self, capsys, monkeypatch, comparison, verified):
+        # the verdict comes from the report the table renders
+        from flagbound import hypothesis_checker
+
+        calls = []
+        compare = hypothesis_checker.compare_radical
+
+        def counted(lhs, rhs):
+            calls.append((lhs, rhs))
+            return comparison or compare(lhs, rhs)
+
+        monkeypatch.setattr(hypothesis_checker, "compare_radical", counted)
+        _, out, _ = run(capsys, "flag", "5", "1000000", "10")
+        assert len(calls) == 1
+        assert f"hypothesesVerified  = {verified}" in out
+
 
 class TestLemma:
     def test_file_input(self, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -264,3 +265,58 @@ class TestCompareRadical:
         enclosed = compare_radical_enclosure(lhs, rhs, digits=60)
         if enclosed is not Comparison.UNDECIDED:
             assert enclosed is exact
+
+
+class TestPoweringArithmetic:
+    # compare_radical_exact builds its powers as ints below
+    # _DECIMAL_DIGITS and in an exact decimal context above it.  The parity
+    # tests patch the crossover to send every comparison down one path,
+    # then the other.
+    def test_one_powering_plan_per_comparison(self, monkeypatch):
+        # the route choice and the exact route share L, p/q, e and the estimate
+        calls = []
+        plan = exact_arith._powering
+        monkeypatch.setattr(exact_arith, "_powering", lambda *a: calls.append(a) or plan(*a))
+        assert compare_radical(471, RadicalThreshold(3, 3)) is Comparison.GREATER
+        assert len(calls) == 1
+
+    @staticmethod
+    def _both_paths(monkeypatch, lhs, rhs):
+        verdicts = []
+        for crossover in (0, 10**18):
+            monkeypatch.setattr(exact_arith, "_DECIMAL_DIGITS", crossover)
+            verdicts.append(compare_radical_exact(lhs, rhs))
+        return verdicts
+
+    def test_paths_agree_around_the_floor(self, monkeypatch):
+        # m = 12, 13 power to 0.8-1.0 M digits, past the crossover
+        rng = random.Random(1407)
+        for m in range(8, 14):
+            rhs = RadicalThreshold(m, rng.randint(m, m + 2))
+            floor = math.floor(rhs.enclosure(40).lo)
+            for lhs in (floor, floor + 1, floor + 2):
+                by_decimal, by_int = self._both_paths(monkeypatch, lhs, rhs)
+                assert by_decimal is by_int
+                assert by_int is (Comparison.LESS if lhs == floor else Comparison.GREATER)
+
+    def test_paths_agree_on_a_rational_threshold_past_the_crossover(self, monkeypatch):
+        # B = 7!(s+1) = 210^300 makes T(7, s) = (s+1)/3 * B^(49/20)
+        # = 210^1035/15120 rational; its powered sides have about 144k digits.
+        rhs = RadicalThreshold(7, 210**300 // 5040 - 1)
+        value = 210**1035 // 15120
+        assert exact_arith._powering(value, rhs)[-1] > exact_arith._DECIMAL_DIGITS
+        for lhs, expected in (
+            (value - 1, Comparison.LESS),
+            (value, Comparison.EQUAL),
+            (value + 1, Comparison.GREATER),
+        ):
+            assert self._both_paths(monkeypatch, lhs, rhs) == [expected, expected]
+
+    def test_decimal_path_keeps_every_digit(self, monkeypatch):
+        # T(2, s) = 4(s+1)^2 = 4 * 10^100002 at s+1 = 10^50001; lhs one
+        # above it agrees with it in its first 100,002 digits, so a context
+        # that rounded to 10^5 digits would call the two equal.
+        rhs = RadicalThreshold(2, 10**50001 - 1)
+        lhs = 4 * 10**100002 + 1
+        assert exact_arith._powering(lhs, rhs)[-1] > exact_arith._DECIMAL_DIGITS
+        assert compare_radical_exact(lhs, rhs) is Comparison.GREATER

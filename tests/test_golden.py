@@ -70,11 +70,15 @@ CASES = {
     "hypotheses-corollary-exact-edge": (["hypotheses", "--digits", "30", "corollary", "13", str(10**31), "13"], None),
     "hypotheses-corollary-enclosure": (["hypotheses", "--digits", "30", "corollary", "16", str(10**49), "16"], None),
     "hypotheses-flag-r10": (["hypotheses", "--digits", "30", "flag", "10", str(10**80), str(10**17), "20"], None),
+    # A passing flag whose one radical check powers to about 0.9 M digits,
+    # in decimal arithmetic; the table's verdict comes from its report.
+    "flag-table-r13": (["flag", "--format", "table", "--digits", "30", "13", str(10**31), "13"], None),
 }
 
 DIGESTS = {
     "batch": "eb5a460a7bf99800b223bec32657de7d66c445a036f620e884a09cafe5f852ff",
     "flag-table": "9576cb2557d105695f1c4a7b5d14eae6b9d29c65d7627421d0b2bc83e5c270c9",
+    "flag-table-r13": "b4dce34ee0b44e6ecbb29ed1816c680277941e3d9025db193a941bb140c81dff",
     "hypotheses-corollary-enclosure": "cd3814681562513af3c56c2ce43a8022b8e29c44098838efb5dea258ae5addf8",
     "hypotheses-corollary-exact-edge": "88c0e947c51cbdd5663da991c9fd7f2cb2f980943941ef509e99a8ca68c83eab",
     "hypotheses-corollary": "75b29d9d7b874038b5fae8f0dbb918a62331bd99c75ed24bc59c1611ae889298",
